@@ -120,7 +120,7 @@ class ReplayTransport:
 def load_fixture(path: str | Path) -> dict[str, list[str]]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read fixture {path}: {exc}") from None
     if not isinstance(doc, dict) or "responses" not in doc:
         raise ConfigError(f"fixture {path} is missing the responses table")
@@ -157,16 +157,14 @@ def complete(transport, cfg: ChatClientConfig, prompt: str) -> str:
     body = transport.send(chat_payload(cfg.model, prompt))
     try:
         doc = json.loads(body)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return body
-    if isinstance(doc, dict):
-        choices = doc.get("choices")
-        if isinstance(choices, list) and choices:
-            msg = choices[0].get("message", {})
-            content = msg.get("content")
-            if isinstance(content, str):
-                return content
-        content = doc.get("content")
-        if isinstance(content, str):
-            return content
-    return body
+    if not isinstance(doc, dict):
+        return body
+    choices = doc.get("choices")
+    if isinstance(choices, list) and choices and isinstance(choices[0], dict):
+        message = choices[0].get("message")
+        if isinstance(message, dict) and isinstance(message.get("content"), str):
+            return message["content"]
+    content = doc.get("content")
+    return content if isinstance(content, str) else body

@@ -20,7 +20,7 @@ from .errors import ConfigError, InvariantViolation
 from .instruct import Candidate, InstructionType, load_candidates, load_reference_lines, read_dataset
 from .media import EXTENSION_FOR_MODALITY
 from .meta import GENERATABLE_MODALITIES, Modality, modality_for_kind
-from .pipeline import ExternalBackend, load_scripted_rules
+from .pipeline import ExternalBackend, default_pipeline_config, load_scripted_rules
 from .projection import TrainConfig, uniform_enc_dims
 from .zoo import ModelDescriptor, ModelRegistry, command_executor, mock_executor
 
@@ -73,7 +73,7 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
         doc = json.loads(cfg_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {cfg_path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {cfg_path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {cfg_path} must be a JSON object")
@@ -211,12 +211,12 @@ def _parse_pipeline(raw, seed: int, fail) -> TrainConfig:
     if not isinstance(raw, dict):
         fail("pipeline must be an object")
         raw = {}
-    cfg = TrainConfig(
-        d_enc=_parse_enc_dims(raw.get("d_enc", 64), "pipeline.d_enc", fail),
-        d_llm=_expect_int(raw.get("d_llm", 128), "pipeline.d_llm", fail),
-        rank=_expect_int(raw.get("rank", 4), "pipeline.rank", fail),
-        seed=seed,
-    )
+    cfg = default_pipeline_config()
+    if "d_enc" in raw:
+        cfg.d_enc = _parse_enc_dims(raw["d_enc"], "pipeline.d_enc", fail)
+    cfg.d_llm = _expect_int(raw.get("d_llm", cfg.d_llm), "pipeline.d_llm", fail)
+    cfg.rank = _expect_int(raw.get("rank", cfg.rank), "pipeline.rank", fail)
+    cfg.seed = seed
     try:
         cfg.validate()
     except Exception as exc:

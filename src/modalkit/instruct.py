@@ -30,12 +30,14 @@ from .media import modality_for_path
 from .meta import (
     GENERATABLE_MODALITIES,
     MODEL_KIND_RE,
-    PROMPT_BYTE_CAP,
     Invocation,
     Modality,
     ValidationIssue,
     kind_for_modality,
-    _scan_tuple_lists,
+    parse_quoted,
+    scan_tuple_lists,
+    skip_ws,
+    validate_invocations,
 )
 from .zoo import default_registry
 
@@ -78,7 +80,9 @@ class Candidate:
 
 
 def validate_pair(pair: InstructionPair, registry=None) -> list[ValidationIssue]:
-    """All structural invariants plus registry resolution; never raises."""
+    """All structural invariants plus registry resolution; never raises.
+    The invocations get the same checks as a meta-response's
+    (meta.validate_invocations)."""
     if registry is None:
         registry = default_registry()
     issues: list[ValidationIssue] = []
@@ -113,14 +117,7 @@ def validate_pair(pair: InstructionPair, registry=None) -> list[ValidationIssue]
                     "BadAttachmentModality", i, f"attachments cannot be {att.modality.value}"
                 )
             )
-    for i, inv in enumerate(pair.invocations):
-        n = len(inv.prompt.encode("utf-8")) if isinstance(inv.prompt, str) else 0
-        if n == 0:
-            issues.append(ValidationIssue("EmptyPrompt", i, "invocation prompt is empty"))
-        elif n > PROMPT_BYTE_CAP:
-            issues.append(ValidationIssue("PromptTooLong", i, f"prompt is {n} bytes"))
-        if not registry.serves_kind(inv.model):
-            issues.append(ValidationIssue("UnknownModelKind", i, f"no backend for {inv.model!r}"))
+    issues.extend(validate_invocations(pair, registry))
     return issues
 
 
@@ -151,8 +148,8 @@ _PAIR_KEYS = {"id", "type", "instruction", "attachments", "invocations", "respon
 def pair_from_json(line: str, lineno: int = 0) -> InstructionPair:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedLine(lineno, f"not valid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the stack
+        raise MalformedLine(lineno, f"not valid JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(obj, dict):
         raise MalformedLine(lineno, "line is not a JSON object")
     if set(obj.keys()) != _PAIR_KEYS:
@@ -231,7 +228,7 @@ def _recover_two_key(line: str, lineno: int) -> InstructionPair:
             raise MalformedLine(lineno, f"cannot infer modality for attachment {name!r}")
         attachments.append(Attachment(name, modality))
     invocations = []
-    for _, _, records in _scan_tuple_lists(line):
+    for _, _, records in scan_tuple_lists(line):
         for model, prompt in records:
             if not prompt:
                 raise MalformedLine(lineno, "recovered invocation has an empty prompt")
@@ -250,19 +247,17 @@ def _recover_two_key(line: str, lineno: int) -> InstructionPair:
 
 def _read_string_list(s: str, start: int, lineno: int) -> tuple[list[str], int]:
     """Parse [ "a", "b", ] starting at the opening bracket."""
-    from .meta import _parse_quoted, _skip_ws
-
-    i = _skip_ws(s, start + 1)
+    i = skip_ws(s, start + 1)
     out: list[str] = []
     while i < len(s) and s[i] != "]":
-        got = _parse_quoted(s, i)
+        got = parse_quoted(s, i)
         if got is None:
             raise MalformedLine(lineno, "instruction list holds a non-string")
         value, i = got
         out.append(value)
-        i = _skip_ws(s, i)
+        i = skip_ws(s, i)
         if i < len(s) and s[i] == ",":
-            i = _skip_ws(s, i + 1)
+            i = skip_ws(s, i + 1)
     if i >= len(s):
         raise MalformedLine(lineno, "instruction list never closes")
     return out, i + 1

@@ -15,6 +15,11 @@ with one warning per recovered record, and falls back to treating the
 whole input as plain text when no structure is found.  Kind strings are
 checked syntactically here (text-to-<word>); whether a kind is actually
 served is a registry question answered by validate_invocations.
+
+Each rule has one home here: check_prompt is the prompt rule that the
+parsers and both validators share, and scan_tuple_lists, parse_quoted
+and skip_ws are the tuple-list grammar, public because the dataset
+reader recovers the same form from older lines.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import enum
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyMeta, InvariantViolation, MalformedMeta, PromptTooLong
 
@@ -72,12 +77,8 @@ class Invocation:
             out.append(f"model does not look like text-to-<modality>: {self.model!r}")
         if not isinstance(self.prompt, str):
             out.append("prompt is not a string")
-        else:
-            n = len(self.prompt.encode("utf-8"))
-            if n == 0:
-                out.append("prompt is empty")
-            elif n > PROMPT_BYTE_CAP:
-                out.append(f"prompt is {n} bytes, cap is {PROMPT_BYTE_CAP}")
+        elif (issue := check_prompt(self.prompt)) is not None:
+            out.append(issue.message)
         return out
 
 
@@ -88,20 +89,16 @@ class MetaResponse:
     text: str = ""
     invocations: tuple[Invocation, ...] = ()
 
-    def is_text_only(self) -> bool:
-        return not self.invocations
-
 
 @dataclass(frozen=True)
 class ParseDiagnostics:
     mode: str
     warnings: tuple[tuple[int, str], ...] = ()  # (byte offset, message)
-    consumed_bytes: int = 0
 
 
 @dataclass(frozen=True)
 class ValidationIssue:
-    """One invocation-level problem found by validate_invocations."""
+    """One invocation-level problem found by check_prompt or validate_invocations."""
 
     code: str  # UnknownModelKind | EmptyPrompt | PromptTooLong
     index: int
@@ -132,21 +129,30 @@ def serialize_meta_response(meta: MetaResponse) -> str:
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
 
 
-def validate_invocations(meta: MetaResponse, registry) -> list[ValidationIssue]:
-    """Check every invocation against prompt bounds and the registry.
+def check_prompt(prompt, index: int = -1) -> ValidationIssue | None:
+    """The prompt rule: None when usable, else an EmptyPrompt issue (a
+    non-string counts as empty) or a PromptTooLong one with the UTF-8 byte count."""
+    n = len(prompt.encode("utf-8")) if isinstance(prompt, str) else 0
+    if n == 0:
+        return ValidationIssue("EmptyPrompt", index, "prompt is empty")
+    if n <= PROMPT_BYTE_CAP:
+        return None
+    return ValidationIssue("PromptTooLong", index, f"prompt is {n} bytes, cap {PROMPT_BYTE_CAP}")
 
-    Never raises; returns one issue per offending invocation index.  The
-    registry only needs a serves_kind(kind) -> bool method.
+
+def validate_invocations(meta, registry) -> list[ValidationIssue]:
+    """Check every invocation against the prompt rule and the registry.
+
+    Never raises; returns the issues in invocation order, a prompt issue
+    before a kind issue.  meta is anything with an invocations sequence
+    (a MetaResponse or an InstructionPair); the registry only needs a
+    serves_kind(kind) -> bool method.
     """
     issues: list[ValidationIssue] = []
     for i, inv in enumerate(meta.invocations):
-        n = len(inv.prompt.encode("utf-8")) if isinstance(inv.prompt, str) else 0
-        if n == 0:
-            issues.append(ValidationIssue("EmptyPrompt", i, "prompt is empty"))
-        elif n > PROMPT_BYTE_CAP:
-            issues.append(
-                ValidationIssue("PromptTooLong", i, f"prompt is {n} bytes, cap {PROMPT_BYTE_CAP}")
-            )
+        prompt_issue = check_prompt(inv.prompt, i)
+        if prompt_issue is not None:
+            issues.append(prompt_issue)
         if inv.model not in KNOWN_MODEL_KINDS or not registry.serves_kind(inv.model):
             issues.append(
                 ValidationIssue("UnknownModelKind", i, f"no backend serves {inv.model!r}")
@@ -161,22 +167,34 @@ def parse_meta_response(raw: str, mode: str = "strict") -> tuple[MetaResponse, P
     if mode not in ("strict", "lenient"):
         raise ValueError(f"unknown parse mode: {mode!r}")
     if mode == "strict":
-        meta = _parse_strict(raw)
-        return meta, ParseDiagnostics("strict", (), _blen(raw))
+        return _parse_strict(raw), ParseDiagnostics("strict")
     return _parse_lenient(raw)
 
 
-def _blen(s: str) -> int:
-    return len(s.encode("utf-8"))
-
-
-def _parse_strict(raw: str) -> MetaResponse:
+def _decode(raw: str):
+    """The one JSON decode of a meta-response; EmptyMeta or MalformedMeta on failure."""
     if raw.strip() == "":
         raise EmptyMeta("input is empty")
     try:
-        obj = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the stack
         raise MalformedMeta(f"not valid JSON: {exc}") from None
+
+
+def _prompt_usable(prompt, where: str) -> bool:
+    """The parsers' outcome of the prompt rule: True when usable, False
+    when empty (the caller rejects or drops it), PromptTooLong over the cap."""
+    issue = check_prompt(prompt)
+    if issue is not None and issue.code == "PromptTooLong":
+        raise PromptTooLong(f"{where} {issue.message}")
+    return issue is None
+
+
+def _parse_strict(raw: str) -> MetaResponse:
+    return _from_object(_decode(raw))
+
+
+def _from_object(obj) -> MetaResponse:
     if not isinstance(obj, dict):
         raise MalformedMeta("top level is not a JSON object")
     if set(obj.keys()) != {"text", "invocations"}:
@@ -196,11 +214,8 @@ def _parse_strict(raw: str) -> MetaResponse:
             raise MalformedMeta(f"invocation {i} model is not text-to-<modality>: {model!r}")
         if not isinstance(prompt, str):
             raise MalformedMeta(f"invocation {i} prompt is not a string")
-        n = len(prompt.encode("utf-8"))
-        if n == 0:
+        if not _prompt_usable(prompt, f"invocation {i}"):
             raise MalformedMeta(f"invocation {i} prompt is empty")
-        if n > PROMPT_BYTE_CAP:
-            raise PromptTooLong(f"invocation {i} prompt is {n} bytes, cap {PROMPT_BYTE_CAP}")
         invocations.append(Invocation(model, prompt))
     if text == "" and not invocations:
         raise EmptyMeta("no text and no invocations")
@@ -208,26 +223,19 @@ def _parse_strict(raw: str) -> MetaResponse:
 
 
 def _parse_lenient(raw: str) -> tuple[MetaResponse, ParseDiagnostics]:
-    if raw.strip() == "":
-        raise EmptyMeta("input is empty")
     try:
-        meta = _parse_strict(raw)
-        return meta, ParseDiagnostics("lenient", (), _blen(raw))
-    except (EmptyMeta, PromptTooLong):
-        raise
+        obj = _decode(raw)
     except MalformedMeta:
-        pass
-
-    try:
-        obj = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError):
         obj = None
-    if isinstance(obj, dict):
-        return _recover_json_object(raw, obj)
-    return _recover_prose(raw)
+    if not isinstance(obj, dict):
+        return _recover_prose(raw)
+    try:
+        return _from_object(obj), ParseDiagnostics("lenient")
+    except MalformedMeta:
+        return _recover_json_object(obj)
 
 
-def _recover_json_object(raw: str, obj: dict) -> tuple[MetaResponse, ParseDiagnostics]:
+def _recover_json_object(obj: dict) -> tuple[MetaResponse, ParseDiagnostics]:
     warnings: list[tuple[int, str]] = []
     text = obj.get("text", "")
     if not isinstance(text, str):
@@ -250,12 +258,9 @@ def _recover_json_object(raw: str, obj: dict) -> tuple[MetaResponse, ParseDiagno
             if not isinstance(model, str) or not MODEL_KIND_RE.fullmatch(model):
                 warnings.append((0, f"invocation {i} has no usable model kind, dropped"))
                 continue
-            if not isinstance(prompt, str) or prompt == "":
+            if not _prompt_usable(prompt, f"invocation {i}"):
                 warnings.append((0, f"invocation {i} has no usable prompt, dropped"))
                 continue
-            n = len(prompt.encode("utf-8"))
-            if n > PROMPT_BYTE_CAP:
-                raise PromptTooLong(f"invocation {i} prompt is {n} bytes, cap {PROMPT_BYTE_CAP}")
             if set(item.keys()) != {"model", "prompt"}:
                 warnings.append((0, f"invocation {i} carries extra keys, ignored"))
             invocations.append(Invocation(model, prompt))
@@ -264,8 +269,7 @@ def _recover_json_object(raw: str, obj: dict) -> tuple[MetaResponse, ParseDiagno
         warnings.append((0, f"unexpected top-level keys ignored: {sorted(extra)}"))
     if text == "" and not invocations:
         raise EmptyMeta("JSON object yielded no text and no invocations")
-    meta = MetaResponse(text, tuple(invocations))
-    return meta, ParseDiagnostics("lenient", tuple(warnings), _blen(raw))
+    return MetaResponse(text, tuple(invocations)), ParseDiagnostics("lenient", tuple(warnings))
 
 
 def _recover_prose(raw: str) -> tuple[MetaResponse, ParseDiagnostics]:
@@ -273,33 +277,28 @@ def _recover_prose(raw: str) -> tuple[MetaResponse, ParseDiagnostics]:
     invocations: list[Invocation] = []
     pieces: list[str] = []
     cursor = 0
-    for start, end, records in _scan_tuple_lists(raw):
+    for start, end, records in scan_tuple_lists(raw):
         pieces.append(raw[cursor:start])
         cursor = end
-        offset = _blen(raw[:start])
+        offset = len(raw[:start].encode("utf-8"))
         for model, prompt in records:
-            n = len(prompt.encode("utf-8"))
-            if n == 0:
+            if not _prompt_usable(prompt, "recovered"):
                 warnings.append((offset, f"tuple record for {model!r} has an empty prompt, dropped"))
                 continue
-            if n > PROMPT_BYTE_CAP:
-                raise PromptTooLong(f"recovered prompt is {n} bytes, cap {PROMPT_BYTE_CAP}")
             warnings.append((offset, f"recovered tuple-style invocation ({model!r})"))
             invocations.append(Invocation(model, prompt))
     pieces.append(raw[cursor:])
     text = "".join(pieces).strip()
     if text == "" and not invocations:
         raise EmptyMeta("input reduced to nothing after recovery")
-    meta = MetaResponse(text, tuple(invocations))
-    return meta, ParseDiagnostics("lenient", tuple(warnings), _blen(raw))
+    return MetaResponse(text, tuple(invocations)), ParseDiagnostics("lenient", tuple(warnings))
 
 
-# A tuple list is only treated as invocations when every first element
-# looks like a model kind; otherwise the span stays prose.  This keeps
-# ordinary bracketed lists in model chatter intact.
-
-
-def _scan_tuple_lists(raw: str):
+def scan_tuple_lists(raw: str):
+    """Yield (start, end, records) for each tuple list in raw, in textual
+    order, where records are its (model, prompt) pairs.  A list counts
+    only when every model looks like a model kind, so ordinary bracketed
+    lists in model chatter stay prose."""
     i = 0
     n = len(raw)
     while i < n:
@@ -318,7 +317,8 @@ def _scan_tuple_lists(raw: str):
             i += 1
 
 
-def _skip_ws(s: str, i: int) -> int:
+def skip_ws(s: str, i: int) -> int:
+    """Index of the first non-whitespace character at or after i."""
     while i < len(s) and s[i] in " \t\r\n":
         i += 1
     return i
@@ -327,7 +327,9 @@ def _skip_ws(s: str, i: int) -> int:
 _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
 
 
-def _parse_quoted(s: str, i: int) -> tuple[str, int] | None:
+def parse_quoted(s: str, i: int) -> tuple[str, int] | None:
+    """Read the quoted literal opening at s[i] (either quote, backslash
+    escapes); return (value, index past the closing quote) or None."""
     if i >= len(s) or s[i] not in "'\"":
         return None
     quote = s[i]
@@ -349,22 +351,22 @@ def _parse_quoted(s: str, i: int) -> tuple[str, int] | None:
 def _parse_pair(s: str, i: int) -> tuple[tuple[str, str], int] | None:
     if i >= len(s) or s[i] != "(":
         return None
-    i = _skip_ws(s, i + 1)
-    first = _parse_quoted(s, i)
+    i = skip_ws(s, i + 1)
+    first = parse_quoted(s, i)
     if first is None:
         return None
     model, i = first
-    i = _skip_ws(s, i)
+    i = skip_ws(s, i)
     if i >= len(s) or s[i] != ",":
         return None
-    i = _skip_ws(s, i + 1)
-    second = _parse_quoted(s, i)
+    i = skip_ws(s, i + 1)
+    second = parse_quoted(s, i)
     if second is None:
         return None
     prompt, i = second
-    i = _skip_ws(s, i)
+    i = skip_ws(s, i)
     if i < len(s) and s[i] == ",":  # tolerate a trailing comma in the pair
-        i = _skip_ws(s, i + 1)
+        i = skip_ws(s, i + 1)
     if i >= len(s) or s[i] != ")":
         return None
     return (model, prompt), i + 1
@@ -373,7 +375,7 @@ def _parse_pair(s: str, i: int) -> tuple[tuple[str, str], int] | None:
 def _parse_tuple_list(s: str, i: int) -> tuple[list[tuple[str, str]], int] | None:
     if s[i] != "[":
         return None
-    i = _skip_ws(s, i + 1)
+    i = skip_ws(s, i + 1)
     records: list[tuple[str, str]] = []
     while True:
         pair = _parse_pair(s, i)
@@ -381,9 +383,9 @@ def _parse_tuple_list(s: str, i: int) -> tuple[list[tuple[str, str]], int] | Non
             break
         record, i = pair
         records.append(record)
-        i = _skip_ws(s, i)
+        i = skip_ws(s, i)
         if i < len(s) and s[i] == ",":
-            i = _skip_ws(s, i + 1)
+            i = skip_ws(s, i + 1)
             continue
         break
     if not records:

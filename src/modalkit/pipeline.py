@@ -101,7 +101,7 @@ class ExternalBackend:
 def load_scripted_rules(path: str | Path) -> ScriptedBackend:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read rules {path}: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("rules"), list):
         raise ConfigError(f"rules file {path} must hold a rules list")

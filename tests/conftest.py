@@ -133,3 +133,20 @@ def counting_registry() -> tuple[ModelRegistry, dict[str, CountingExecutor]]:
 @pytest.fixture
 def tmp_workspace(tmp_path):
     return tmp_path / "ws"
+
+
+# --- hostile JSON ------------------------------------------------------------
+
+# Inputs json.loads rejects with something other than JSONDecodeError:
+# nesting deeper than the interpreter stack raises RecursionError, and an
+# integer literal past the int-digit limit raises a plain ValueError.
+HOSTILE_JSON = {
+    "deep_array": "[" * 100_000,
+    "deep_invocations": '{"text": "", "invocations": ' + "[" * 5000 + "]" * 5000 + "}",
+    "huge_int": "1" * 5000,
+}
+
+
+def over_hostile_json(argname: str):
+    """Parametrize a test over HOSTILE_JSON, with short test ids."""
+    return pytest.mark.parametrize(argname, list(HOSTILE_JSON.values()), ids=list(HOSTILE_JSON))

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from conftest import over_hostile_json
 from modalkit import chat
 from modalkit.chat import (
     ChatClientConfig,
@@ -224,3 +225,21 @@ def test_complete_unwraps_content_field():
 
 def test_complete_passes_through_other_json():
     assert complete(OneShot("[1, 2]"), ChatClientConfig(), "p") == "[1, 2]"
+
+
+@over_hostile_json("body")
+def test_complete_passes_through_hostile_json(body):
+    assert complete(OneShot(body), ChatClientConfig(), "p") == body
+
+
+@pytest.mark.parametrize("body", ['{"choices": [1]}', '{"choices": [{"message": "hi"}]}'])
+def test_complete_passes_through_malformed_envelopes(body):
+    assert complete(OneShot(body), ChatClientConfig(), "p") == body
+
+
+@over_hostile_json("text")
+def test_hostile_fixture_is_config_error(tmp_path, text):
+    path = tmp_path / "fixture.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_fixture(path)

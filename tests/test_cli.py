@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import HOSTILE_JSON
 from modalkit.cli import main
 from modalkit.instruct import Candidate, template_generate, write_dataset
 from modalkit.media import render_placeholder
@@ -158,6 +164,44 @@ def test_validate_dataset_lenient_accepts_two_key_form(tmp_path, capsys):
     assert main(["validate-dataset", "--in", str(path), "--mode", "lenient"]) == 0
     assert "checked 1 pairs, 0 invalid" in capsys.readouterr().out
     assert main(["validate-dataset", "--in", str(path), "--mode", "strict"]) == 1
+
+
+# --- exit contract on hostile input ------------------------------------------------
+
+_NESTINGS = [("[", "]"), ('{"a": ', "}"), ('{"text": "", "invocations": [', "]}")]
+
+st_deep = st.builds(
+    lambda nesting, depth, closed: nesting[0] * depth + (nesting[1] * depth if closed else ""),
+    st.sampled_from(_NESTINGS),
+    st.integers(1, 20_000),
+    st.booleans(),
+)
+
+
+@given(
+    st.one_of(st.text(max_size=300), st_deep, st.sampled_from(list(HOSTILE_JSON.values())))
+)
+@settings(max_examples=40, deadline=None)
+def test_parse_and_validate_exit_0_1_2_on_any_text(text):
+    """Run in-process, so an exception escaping main (what the console
+    script would print as a traceback) fails the test."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_text(text, encoding="utf-8")
+        for mode in ("strict", "lenient"):
+            for argv, stdin in (
+                (["parse-meta", "--mode", mode], text),
+                (["validate-dataset", "--in", str(path), "--mode", mode], ""),
+            ):
+                saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+                try:
+                    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                        code = main(argv)
+                finally:
+                    sys.stdin = saved
+                assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 # --- run ----------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import over_hostile_json
 from modalkit.chat import ChatClientConfig
 from modalkit.config import (
     build_language_backend,
@@ -145,3 +146,11 @@ def test_chat_fixture_path_resolves_against_config(tmp_path):
     doc = minimal_doc(chat={"mode": "replay", "fixture_path": "fx.json"})
     app = load_app_config(write_config(tmp_path, doc))
     assert app.chat.fixture_path == str(tmp_path / "fx.json")
+
+
+@over_hostile_json("text")
+def test_hostile_json_config_is_config_error(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_app_config(path)

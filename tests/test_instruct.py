@@ -8,6 +8,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import over_hostile_json
 from modalkit import chat
 from modalkit.errors import (
     EmptyBundle,
@@ -147,6 +148,20 @@ def test_prompt_length_bounds_flagged():
         assert code in [i.code for i in validate_pair(pair)]
 
 
+def test_invocation_issues_match_validate_invocations():
+    pair = InstructionPair(
+        "x",
+        InstructionType.OUTPUT_ALIGN,
+        "Make.",
+        invocations=(Invocation("text-to-audio", ""), Invocation("text-to-hologram", "y" * 2049)),
+    )
+    assert [str(i) for i in validate_pair(pair)] == [
+        "EmptyPrompt@0: prompt is empty",
+        "PromptTooLong@1: prompt is 2049 bytes, cap 2048",
+        "UnknownModelKind@1: no backend serves 'text-to-hologram'",
+    ]
+
+
 # --- JSONL -----------------------------------------------------------------------
 
 
@@ -247,6 +262,14 @@ def test_pair_from_json_reports_reason(line, fragment):
         pair_from_json(line, lineno=7)
     assert excinfo.value.lineno == 7
     assert fragment in excinfo.value.reason
+
+
+@over_hostile_json("line")
+def test_pair_from_json_hostile_json_is_malformed_line(line):
+    with pytest.raises(MalformedLine) as excinfo:
+        pair_from_json(line, lineno=7)
+    assert excinfo.value.lineno == 7
+    assert excinfo.value.reason.startswith("not valid JSON: ")
 
 
 def test_lenient_read_recovers_paper_two_key_line(tmp_path):

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import counting_registry, random_meta, st_meta
+from conftest import counting_registry, over_hostile_json, random_meta, st_meta
 from modalkit.errors import EmptyMeta, InvariantViolation, MalformedMeta, MetaError, PromptTooLong
 from modalkit.meta import (
     Invocation,
@@ -295,3 +295,12 @@ def test_order_preservation_bulk():
 def test_parsing_is_pure():
     raw = 'text [("text-to-image", "x")] more'
     assert parse_meta_response(raw, "lenient") == parse_meta_response(raw, "lenient")
+
+
+@over_hostile_json("raw")
+def test_hostile_json_is_malformed_not_a_crash(raw):
+    with pytest.raises(MalformedMeta):
+        parse_meta_response(raw, mode="strict")
+    meta, diags = parse_meta_response(raw, mode="lenient")
+    assert meta == MetaResponse(raw, ())
+    assert diags.warnings == ()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from conftest import over_hostile_json
 from modalkit import chat
 from modalkit.errors import (
     AttachmentMissing,
@@ -332,3 +333,11 @@ def test_trace_json_shape_with_and_without_timings():
     without = json.loads(trace.to_json(include_timings=False))
     assert "elapsed_ms" not in without["stages"][0]
     assert without["stages"][0] == {"name": "validate", "details": {"k": 1}}
+
+
+@over_hostile_json("text")
+def test_load_scripted_rules_hostile_json_is_config_error(tmp_path, text):
+    path = tmp_path / "rules.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_scripted_rules(path)
