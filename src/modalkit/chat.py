@@ -124,7 +124,10 @@ def load_fixture(path: str | Path) -> dict[str, list[str]]:
         raise ConfigError(f"cannot read fixture {path}: {exc}") from None
     if not isinstance(doc, dict) or "responses" not in doc:
         raise ConfigError(f"fixture {path} is missing the responses table")
-    return {str(k): [str(b) for b in v] for k, v in doc["responses"].items()}
+    table = doc["responses"]
+    if not isinstance(table, dict) or not all(isinstance(v, list) for v in table.values()):
+        raise ConfigError(f"fixture {path}: responses must map each request key to a list")
+    return {k: [str(b) for b in v] for k, v in table.items()}
 
 
 def save_fixture(responses: dict[str, list[str]], path: str | Path) -> None:

@@ -31,7 +31,7 @@ from .instruct import (
     _recover_two_key,
 )
 from .media import modality_for_path
-from .meta import Modality, parse_meta_response, serialize_meta_response
+from .meta import Modality, has_lone_surrogate, parse_meta_response, serialize_meta_response
 from .pipeline import UserRequest, run
 from .projection import gradient_check, param_count, random_check_instance
 from .zoo import default_registry, manifest_json
@@ -115,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_parse_meta(args) -> int:
-    raw = Path(args.file).read_text(encoding="utf-8") if args.file else sys.stdin.read()
+    try:
+        raw = Path(args.file).read_text(encoding="utf-8") if args.file else sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgument(f"cannot read {args.file or 'stdin'}: {exc}") from None
     meta, diags = parse_meta_response(raw, mode=args.mode)
     for offset, message in diags.warnings:
         print(f"warning: byte {offset}: {message}", file=sys.stderr)
@@ -162,11 +165,19 @@ def cmd_validate_dataset(args) -> int:
     invalid = 0
     checked = 0
     seen_ids: set[str] = set()
-    with open(args.input, encoding="utf-8") as fh:
+    try:
+        # surrogateescape turns each undecodable byte into a lone surrogate,
+        # so a non-UTF-8 line is reported as one bad line
+        fh = open(args.input, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise InvalidArgument(f"cannot read {args.input}: {exc}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                if has_lone_surrogate(line):
+                    raise MalformedLine(lineno, "line is not valid UTF-8")
                 try:
                     pair = pair_from_json(line, lineno)
                 except MalformedLine:

@@ -12,6 +12,8 @@ import io
 import math
 import wave
 
+import numpy as np
+
 from .errors import UnknownModelKind
 from .meta import KNOWN_MODEL_KINDS, Modality, modality_for_kind
 from .rng import SplitMix64, content_hash, mix64
@@ -65,18 +67,18 @@ def _render_image(h: int, seed: int) -> bytes:
 
 def _render_audio(h: int) -> bytes:
     # 1 s sine; the pitch encodes the request content, nothing else.
+    # The sine's argument keeps the left-to-right order 2.0*pi*freq*n/rate,
+    # and rint rounds half to even like round(); golden tests pin every pitch.
     freq = 200 + (h % 1800)
     amp = 16383
-    frames = bytearray()
-    for n in range(AUDIO_RATE * AUDIO_SECONDS):
-        sample = int(round(amp * math.sin(2.0 * math.pi * freq * n / AUDIO_RATE)))
-        frames += sample.to_bytes(2, "little", signed=True)
+    n = np.arange(AUDIO_RATE * AUDIO_SECONDS)
+    samples = np.rint(amp * np.sin(2.0 * math.pi * freq * n / AUDIO_RATE))
     buf = io.BytesIO()
     with wave.open(buf, "wb") as w:
         w.setnchannels(1)
         w.setsampwidth(2)
         w.setframerate(AUDIO_RATE)
-        w.writeframes(bytes(frames))
+        w.writeframes(samples.astype("<i2").tobytes())
     return buf.getvalue()
 
 

@@ -35,6 +35,8 @@ PROMPT_BYTE_CAP = 2048
 
 MODEL_KIND_RE = re.compile(r"text-to-[a-z]+")
 
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
 
 class Modality(enum.Enum):
     TEXT = "text"
@@ -100,7 +102,7 @@ class ParseDiagnostics:
 class ValidationIssue:
     """One invocation-level problem found by check_prompt or validate_invocations."""
 
-    code: str  # UnknownModelKind | EmptyPrompt | PromptTooLong
+    code: str  # UnknownModelKind | EmptyPrompt | PromptTooLong | UnpairedSurrogate
     index: int
     message: str
 
@@ -113,6 +115,8 @@ def serialize_meta_response(meta: MetaResponse) -> str:
     problems = []
     if not isinstance(meta.text, str):
         problems.append("text is not a string")
+    elif has_lone_surrogate(meta.text):
+        problems.append("text holds an unpaired surrogate")
     for i, inv in enumerate(meta.invocations):
         if not isinstance(inv, Invocation):
             problems.append(f"invocation {i} is not an Invocation")
@@ -129,10 +133,20 @@ def serialize_meta_response(meta: MetaResponse) -> str:
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
 
 
+def has_lone_surrogate(s: str) -> bool:
+    """True when s holds a surrogate code point, which UTF-8 cannot encode:
+    a lone \\ud800-style JSON escape, or a byte decoded with surrogateescape."""
+    return _SURROGATE_RE.search(s) is not None
+
+
 def check_prompt(prompt, index: int = -1) -> ValidationIssue | None:
     """The prompt rule: None when usable, else an EmptyPrompt issue (a
-    non-string counts as empty) or a PromptTooLong one with the UTF-8 byte count."""
-    n = len(prompt.encode("utf-8")) if isinstance(prompt, str) else 0
+    non-string counts as empty), an UnpairedSurrogate one, or a
+    PromptTooLong one with the UTF-8 byte count."""
+    try:
+        n = len(prompt.encode("utf-8")) if isinstance(prompt, str) else 0
+    except UnicodeEncodeError:
+        return ValidationIssue("UnpairedSurrogate", index, "prompt holds an unpaired surrogate")
     if n == 0:
         return ValidationIssue("EmptyPrompt", index, "prompt is empty")
     if n <= PROMPT_BYTE_CAP:
@@ -181,13 +195,13 @@ def _decode(raw: str):
         raise MalformedMeta(f"not valid JSON: {exc}") from None
 
 
-def _prompt_usable(prompt, where: str) -> bool:
-    """The parsers' outcome of the prompt rule: True when usable, False
-    when empty (the caller rejects or drops it), PromptTooLong over the cap."""
+def _prompt_issue(prompt, where: str) -> ValidationIssue | None:
+    """The parsers' outcome of the prompt rule: None when usable, the
+    issue when the caller rejects or drops the prompt, PromptTooLong over the cap."""
     issue = check_prompt(prompt)
     if issue is not None and issue.code == "PromptTooLong":
         raise PromptTooLong(f"{where} {issue.message}")
-    return issue is None
+    return issue
 
 
 def _parse_strict(raw: str) -> MetaResponse:
@@ -202,6 +216,8 @@ def _from_object(obj) -> MetaResponse:
     text = obj["text"]
     if not isinstance(text, str):
         raise MalformedMeta("text is not a string")
+    if has_lone_surrogate(text):
+        raise MalformedMeta("text holds an unpaired surrogate")
     items = obj["invocations"]
     if not isinstance(items, list):
         raise MalformedMeta("invocations is not a list")
@@ -214,8 +230,8 @@ def _from_object(obj) -> MetaResponse:
             raise MalformedMeta(f"invocation {i} model is not text-to-<modality>: {model!r}")
         if not isinstance(prompt, str):
             raise MalformedMeta(f"invocation {i} prompt is not a string")
-        if not _prompt_usable(prompt, f"invocation {i}"):
-            raise MalformedMeta(f"invocation {i} prompt is empty")
+        if (issue := _prompt_issue(prompt, f"invocation {i}")) is not None:
+            raise MalformedMeta(f"invocation {i} {issue.message}")
         invocations.append(Invocation(model, prompt))
     if text == "" and not invocations:
         raise EmptyMeta("no text and no invocations")
@@ -243,6 +259,9 @@ def _recover_json_object(obj: dict) -> tuple[MetaResponse, ParseDiagnostics]:
         text = ""
     elif "text" not in obj:
         warnings.append((0, "text field missing, treated as empty"))
+    elif has_lone_surrogate(text):
+        warnings.append((0, "text field holds an unpaired surrogate, dropped"))
+        text = ""
     items = obj.get("invocations")
     invocations: list[Invocation] = []
     if items is None:
@@ -258,7 +277,7 @@ def _recover_json_object(obj: dict) -> tuple[MetaResponse, ParseDiagnostics]:
             if not isinstance(model, str) or not MODEL_KIND_RE.fullmatch(model):
                 warnings.append((0, f"invocation {i} has no usable model kind, dropped"))
                 continue
-            if not _prompt_usable(prompt, f"invocation {i}"):
+            if _prompt_issue(prompt, f"invocation {i}") is not None:
                 warnings.append((0, f"invocation {i} has no usable prompt, dropped"))
                 continue
             if set(item.keys()) != {"model", "prompt"}:
@@ -273,6 +292,8 @@ def _recover_json_object(obj: dict) -> tuple[MetaResponse, ParseDiagnostics]:
 
 
 def _recover_prose(raw: str) -> tuple[MetaResponse, ParseDiagnostics]:
+    if has_lone_surrogate(raw):
+        raise MalformedMeta("input holds an unpaired surrogate")
     warnings: list[tuple[int, str]] = []
     invocations: list[Invocation] = []
     pieces: list[str] = []
@@ -282,7 +303,7 @@ def _recover_prose(raw: str) -> tuple[MetaResponse, ParseDiagnostics]:
         cursor = end
         offset = len(raw[:start].encode("utf-8"))
         for model, prompt in records:
-            if not _prompt_usable(prompt, "recovered"):
+            if _prompt_issue(prompt, "recovered") is not None:
                 warnings.append((offset, f"tuple record for {model!r} has an empty prompt, dropped"))
                 continue
             warnings.append((offset, f"recovered tuple-style invocation ({model!r})"))

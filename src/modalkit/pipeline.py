@@ -9,6 +9,7 @@ to a text-only response with diagnostics; they never execute partially.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -26,12 +27,14 @@ from .instruct import Attachment
 from .media import modality_for_path
 from .meta import Modality, parse_meta_response, validate_invocations
 from .projection import (
+    AlignmentModel,
     EmbeddingVector,
     TrainConfig,
     encode_stub,
     init_model,
     load_embedding,
     project,
+    trainable_arrays,
     uniform_enc_dims,
 )
 from .zoo import FinalResponse, ModelRegistry, execute_plan, manifest_json, route
@@ -152,6 +155,35 @@ def default_pipeline_config() -> TrainConfig:
     return TrainConfig(d_enc=uniform_enc_dims(64), d_llm=128, rank=4)
 
 
+def _config_key(cfg: TrainConfig) -> tuple:
+    """Every TrainConfig field, in field order, as a hashable tuple:
+    init_model reads them all (its validate() reads the training ones)."""
+    return (
+        tuple(cfg.d_enc.items()),
+        cfg.d_llm,
+        cfg.token_count,
+        cfg.bias,
+        cfg.rank,
+        cfg.alpha,
+        cfg.learning_rate,
+        cfg.steps,
+        cfg.seed,
+        cfg.loss,
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_model(key: tuple) -> AlignmentModel:
+    """init_model for one config value, built on the first request that
+    needs it; its arrays are read-only because every later request shares them."""
+    d_enc, *rest = key
+    model = init_model(TrainConfig(dict(d_enc), *rest))
+    for _, array in trainable_arrays(model):
+        array.flags.writeable = False
+    model.adaptor.base.flags.writeable = False
+    return model
+
+
 def _validate_request(req: UserRequest) -> None:
     if not req.instruction.strip():
         raise InstructionRequired("request instruction is empty")
@@ -217,7 +249,9 @@ def run(
 
     Hard errors (empty instruction, missing attachment, empty meta)
     raise before anything is generated; invocation-validation failures
-    degrade to a text-only response instead."""
+    degrade to a text-only response instead.  The projection model is
+    built once per distinct cfg value per process (a small bounded memo)
+    and shared read-only by every later request with an equal cfg."""
     cfg = cfg or default_pipeline_config()
     _validate_request(req)  # before the workspace is even created
 
@@ -251,7 +285,7 @@ def run(
     embeddings = stage("encode", do_encode)
 
     def do_project():
-        model = init_model(cfg)
+        model = _shared_model(_config_key(cfg))
         tokens = [project(model.projections[v.modality], v) for v in embeddings]
         return tokens, {"token_shapes": [list(t.shape) for t in tokens]}
 

@@ -80,6 +80,16 @@ def test_bad_fixture_files(tmp_path):
         load_fixture(wrong)
 
 
+@pytest.mark.parametrize(
+    "responses", ["[]", '"text"', '{"key": "not a list"}', '{"key": {"body": "x"}}']
+)
+def test_fixture_responses_must_map_keys_to_lists(tmp_path, responses):
+    path = tmp_path / "fixture.json"
+    path.write_text('{"version": 1, "responses": %s}' % responses)
+    with pytest.raises(ConfigError, match="responses must map"):
+        load_fixture(path)
+
+
 class FakeInner:
     def __init__(self, bodies):
         self.bodies = list(bodies)

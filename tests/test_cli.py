@@ -168,6 +168,29 @@ def test_validate_dataset_lenient_accepts_two_key_form(tmp_path, capsys):
 
 # --- exit contract on hostile input ------------------------------------------------
 
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+@pytest.mark.parametrize("command", ["parse-meta", "validate-dataset"])
+def test_non_utf8_file_is_a_one_line_error(tmp_path, capsys, command, mode):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'\xff\xfe{"text":"x","invocations":[]}\n')
+    flag = "--file" if command == "parse-meta" else "--in"
+    code = main([command, "--mode", mode, flag, str(path)])
+    out, err = capsys.readouterr()
+    if command == "parse-meta":
+        assert code == 2
+        assert err.startswith("error: InvalidArgument: cannot read") and err.count("\n") == 1
+    else:  # the dataset validator reports the line and goes on
+        assert code == 1
+        assert out == "line 1: line is not valid UTF-8\nchecked 0 pairs, 1 invalid\n"
+
+
+@pytest.mark.parametrize("command", ["parse-meta", "validate-dataset"])
+def test_missing_input_file_is_a_usage_error(tmp_path, capsys, command):
+    flag = "--file" if command == "parse-meta" else "--in"
+    assert main([command, flag, str(tmp_path / "missing.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: InvalidArgument: cannot read")
+
+
 _NESTINGS = [("[", "]"), ('{"a": ', "}"), ('{"text": "", "invocations": [', "]}")]
 
 st_deep = st.builds(
@@ -179,19 +202,27 @@ st_deep = st.builds(
 
 
 @given(
-    st.one_of(st.text(max_size=300), st_deep, st.sampled_from(list(HOSTILE_JSON.values())))
+    st.one_of(
+        st.text(max_size=300).map(str.encode),
+        st_deep.map(str.encode),
+        st.sampled_from([t.encode() for t in HOSTILE_JSON.values()]),
+        st.binary(max_size=300),
+    )
 )
 @settings(max_examples=40, deadline=None)
-def test_parse_and_validate_exit_0_1_2_on_any_text(text):
+def test_parse_and_validate_exit_0_1_2_on_any_text(data):
     """Run in-process, so an exception escaping main (what the console
-    script would print as a traceback) fails the test."""
+    script would print as a traceback) fails the test.  Stdin gets the
+    bytes as a UTF-8 locale in UTF-8 mode decodes them (surrogateescape)."""
     err = io.StringIO()
+    text = data.decode("utf-8", "surrogateescape")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         for mode in ("strict", "lenient"):
             for argv, stdin in (
                 (["parse-meta", "--mode", mode], text),
+                (["parse-meta", "--mode", mode, "--file", str(path)], ""),
                 (["validate-dataset", "--in", str(path), "--mode", mode], ""),
             ):
                 saved, sys.stdin = sys.stdin, io.StringIO(stdin)

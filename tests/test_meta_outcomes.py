@@ -13,7 +13,7 @@ import json
 import pytest
 
 from conftest import counting_registry
-from modalkit.errors import EmptyMeta, MalformedMeta, PromptTooLong
+from modalkit.errors import EmptyMeta, InvariantViolation, MalformedMeta, PromptTooLong
 from modalkit.meta import (
     Invocation,
     MetaResponse,
@@ -36,6 +36,7 @@ def _inv(model="text-to-image", prompt="p", **extra) -> dict:
 CAP_PROMPT = "a" * 2048
 LONG_PROMPT = "a" * 2049
 LONG_EURO = "€" * 683  # 2049 bytes
+LONE = "\ud800"  # a surrogate with no partner: UTF-8 cannot encode it
 
 STRICT = [
     ("", EmptyMeta),
@@ -62,6 +63,10 @@ STRICT = [
     (_obj(invocations=[_inv(prompt=LONG_PROMPT), _inv(model="image")]), PromptTooLong),
     (_obj(invocations=[_inv(model="image"), _inv(prompt=LONG_PROMPT)]), MalformedMeta),
     (_obj(text=""), EmptyMeta),
+    ('{"text":"","invocations":[{"model":"text-to-image","prompt":"\\ud800"}]}', MalformedMeta),
+    ('{"text":"\\ud800","invocations":[]}', MalformedMeta),
+    ('{"text":"%s","invocations":[]}' % LONE, MalformedMeta),
+    ('{"text":"\\ud83d\\ude00","invocations":[]}', ('{"text":"\U0001f600","invocations":[]}', [])),
     (
         '{"text":"hi","invocations":[{"model":"text-to-image","prompt":"café"}]}',
         ('{"text":"hi","invocations":[{"model":"text-to-image","prompt":"café"}]}', []),
@@ -96,6 +101,23 @@ LENIENT = [
     (_obj(invocations=[_inv(seed=1, prompt=LONG_PROMPT)]), PromptTooLong),
     (_obj(text=5, invocations=[_inv(prompt=LONG_EURO)]), PromptTooLong),
     ('say [("text-to-image", "%s")]' % LONG_PROMPT, PromptTooLong),
+    ('hi %s [("text-to-image", "x")]' % LONE, MalformedMeta),
+    ('{"text":"%s","invocations":[]}' % LONE, EmptyMeta),
+    (_obj(text=LONE), EmptyMeta),
+    (
+        _obj(text=LONE, invocations=[_inv()]),
+        (
+            '{"text":"","invocations":[{"model":"text-to-image","prompt":"p"}]}',
+            [(0, "text field holds an unpaired surrogate, dropped")],
+        ),
+    ),
+    (
+        _obj(invocations=[_inv(prompt=LONE), _inv(prompt="ok")]),
+        (
+            '{"text":"t","invocations":[{"model":"text-to-image","prompt":"ok"}]}',
+            [(0, "invocation 0 has no usable prompt, dropped")],
+        ),
+    ),
     (
         '{"text":"hi","invocations":[]}',
         ('{"text":"hi","invocations":[]}', []),
@@ -236,6 +258,27 @@ def test_lenient_keeps_strict_hard_errors(raw):
     assert _outcome(raw, "lenient") is _outcome(raw, "strict")
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (_obj(invocations=[_inv(prompt=LONE)]), "invocation 0 prompt holds an unpaired surrogate"),
+        (_obj(text=LONE), "text holds an unpaired surrogate"),
+    ],
+)
+def test_strict_surrogate_messages(raw, message):
+    with pytest.raises(MalformedMeta, match=message):
+        parse_meta_response(raw, mode="strict")
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [MetaResponse(LONE), MetaResponse("t", (Invocation("text-to-image", "a" + LONE),))],
+)
+def test_serialize_rejects_unpaired_surrogates(meta):
+    with pytest.raises(InvariantViolation, match="unpaired surrogate"):
+        serialize_meta_response(meta)
+
+
 def _image_only_registry() -> ModelRegistry:
     registry = ModelRegistry()
     registry.register(
@@ -256,6 +299,7 @@ def _image_only_registry() -> ModelRegistry:
             ["PromptTooLong@1: prompt is 2049 bytes, cap 2048"],
         ),
         ([("text-to-video", LONG_EURO)], "all", ["PromptTooLong@0: prompt is 2049 bytes, cap 2048"]),
+        ([("text-to-image", LONE)], "all", ["UnpairedSurrogate@0: prompt holds an unpaired surrogate"]),
         (
             [("text-to-hologram", "x")],
             "all",

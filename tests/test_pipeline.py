@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import over_hostile_json
-from modalkit import chat
+from modalkit import chat, pipeline
 from modalkit.errors import (
     AttachmentMissing,
     ConfigError,
@@ -30,7 +30,14 @@ from modalkit.pipeline import (
     load_scripted_rules,
     run,
 )
-from modalkit.projection import encode_stub, write_embedding
+from modalkit.projection import (
+    TrainConfig,
+    encode_stub,
+    init_model,
+    trainable_arrays,
+    uniform_enc_dims,
+    write_embedding,
+)
 from modalkit.zoo import default_registry
 
 CAT_CANONICAL = (
@@ -341,3 +348,44 @@ def test_load_scripted_rules_hostile_json_is_config_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError):
         load_scripted_rules(path)
+
+
+def _run_cat(tmp_path, name, cfg):
+    ws = tmp_path / name
+    req = cat_request(tmp_path)
+    _, trace = run(req, default_registry(), cat_backend(), ws, cfg=cfg, seed=3, include_timings=False)
+    return ws, trace
+
+
+def test_model_is_built_once_per_config_and_runs_stay_identical(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "init_model", lambda cfg: calls.append(cfg) or init_model(cfg))
+    cfg = TrainConfig(d_enc=uniform_enc_dims(64), d_llm=96, rank=4, seed=424242)
+    first, _ = _run_cat(tmp_path, "one", cfg)
+    equal = TrainConfig(d_enc=uniform_enc_dims(64), d_llm=96, rank=4, seed=424242)
+    second, _ = _run_cat(tmp_path, "two", equal)
+    assert len(calls) == 1  # an equal config value hits the memo
+    for name in ("manifest.json", "trace.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_changing_d_llm_between_runs_changes_token_shapes(tmp_path):
+    shapes = []
+    for d_llm in (32, 48):
+        cfg = TrainConfig(d_enc=uniform_enc_dims(64), d_llm=d_llm, rank=4)
+        _, trace = _run_cat(tmp_path, f"d{d_llm}", cfg)
+        (project_stage,) = [s for s in trace.stages if s.name == "project"]
+        shapes.append(project_stage.details["token_shapes"])
+    assert shapes == [[[1, 32]], [[1, 48]]]
+
+
+def test_cached_model_arrays_are_read_only(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(pipeline, "init_model", lambda cfg: built.append(init_model(cfg)) or built[-1])
+    _run_cat(tmp_path, "ws", TrainConfig(d_enc=uniform_enc_dims(64), d_llm=40, rank=4, seed=77))
+    (model,) = built
+    with pytest.raises(ValueError):
+        model.projections[Modality.AUDIO].weight[0, 0] = 1.0
+    for array in [array for _, array in trainable_arrays(model)] + [model.adaptor.base]:
+        with pytest.raises(ValueError):
+            array.flat[0] = 1.0

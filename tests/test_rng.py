@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_fnv1a64, oracle_splitmix64_stream
 from modalkit.rng import SplitMix64, content_hash, fnv1a64, mix64
@@ -66,3 +66,27 @@ def test_mix64_depends_on_every_part():
 
 def test_mix64_masks_to_64_bits():
     assert 0 <= mix64(2**64 + 5, -1 & (2**64 - 1)) < 2**64
+
+
+def _scalar_bytes(stream: SplitMix64, n: int) -> bytes:
+    out = b""
+    while len(out) < n:
+        out += stream.next_u64().to_bytes(8, "little")
+    return out[:n]
+
+
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=5000),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_draws_match_scalar_reference(seed, n):
+    # bytes and unit_floats draw a block at once; both must equal the
+    # one-draw-at-a-time stream and leave the stream where it would be.
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    assert fast.bytes(n) == _scalar_bytes(slow, n)
+    assert fast.next_u64() == slow.next_u64()
+    floats = fast.unit_floats(n)
+    assert floats == [slow.next_u64() / 2**63 - 1.0 for _ in range(n)]
+    assert all(type(v) is float for v in floats)
+    assert fast.next_u64() == slow.next_u64()
