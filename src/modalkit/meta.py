@@ -35,8 +35,6 @@ PROMPT_BYTE_CAP = 2048
 
 MODEL_KIND_RE = re.compile(r"text-to-[a-z]+")
 
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
-
 
 class Modality(enum.Enum):
     TEXT = "text"
@@ -134,9 +132,13 @@ def serialize_meta_response(meta: MetaResponse) -> str:
 
 
 def has_lone_surrogate(s: str) -> bool:
-    """True when s holds a surrogate code point, which UTF-8 cannot encode:
-    a lone \\ud800-style JSON escape, or a byte decoded with surrogateescape."""
-    return _SURROGATE_RE.search(s) is not None
+    """True when s holds a surrogate code point, the one thing UTF-8 cannot
+    encode: a lone \\ud800-style JSON escape, or a byte decoded with surrogateescape."""
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def check_prompt(prompt, index: int = -1) -> ValidationIssue | None:

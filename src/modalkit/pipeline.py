@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import chat
@@ -156,20 +156,10 @@ def default_pipeline_config() -> TrainConfig:
 
 
 def _config_key(cfg: TrainConfig) -> tuple:
-    """Every TrainConfig field, in field order, as a hashable tuple:
-    init_model reads them all (its validate() reads the training ones)."""
-    return (
-        tuple(cfg.d_enc.items()),
-        cfg.d_llm,
-        cfg.token_count,
-        cfg.bias,
-        cfg.rank,
-        cfg.alpha,
-        cfg.learning_rate,
-        cfg.steps,
-        cfg.seed,
-        cfg.loss,
-    )
+    """Every TrainConfig field in field order, d_enc as a tuple of its
+    items so the key hashes: init_model reads them all (validate() the rest)."""
+    d_enc, *rest = (getattr(cfg, f.name) for f in fields(cfg))
+    return (tuple(d_enc.items()), *rest)
 
 
 @functools.lru_cache(maxsize=8)

@@ -13,6 +13,7 @@ from modalkit.errors import (
     ConfigError,
     EmptyMeta,
     InstructionRequired,
+    InvalidArgument,
     ModalityMismatch,
     ShapeMismatch,
 )
@@ -389,3 +390,12 @@ def test_cached_model_arrays_are_read_only(tmp_path, monkeypatch):
     for array in [array for _, array in trainable_arrays(model)] + [model.adaptor.base]:
         with pytest.raises(ValueError):
             array.flat[0] = 1.0
+
+
+def test_memo_key_covers_the_training_fields(tmp_path):
+    # init_model validates every field, so a config that differs from a
+    # cached one only in a training field must not reuse its model.
+    _run_cat(tmp_path, "ok", TrainConfig(d_enc=uniform_enc_dims(64), d_llm=96, rank=4))
+    bad = TrainConfig(d_enc=uniform_enc_dims(64), d_llm=96, rank=4, learning_rate=-1.0)
+    with pytest.raises(InvalidArgument):
+        _run_cat(tmp_path, "bad", bad)
