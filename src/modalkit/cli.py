@@ -177,7 +177,7 @@ def cmd_validate_dataset(args) -> int:
                 continue
             try:
                 if has_lone_surrogate(line):
-                    raise MalformedLine(lineno, "line is not valid UTF-8")
+                    raise MalformedLine(lineno, "not valid UTF-8")
                 try:
                     pair = pair_from_json(line, lineno)
                 except MalformedLine:

@@ -181,7 +181,7 @@ def test_non_utf8_file_is_a_one_line_error(tmp_path, capsys, command, mode):
         assert err.startswith("error: InvalidArgument: cannot read") and err.count("\n") == 1
     else:  # the dataset validator reports the line and goes on
         assert code == 1
-        assert out == "line 1: line is not valid UTF-8\nchecked 0 pairs, 1 invalid\n"
+        assert out == "line 1: not valid UTF-8\nchecked 0 pairs, 1 invalid\n"
 
 
 @pytest.mark.parametrize("command", ["parse-meta", "validate-dataset"])
