@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .errors import ConfigError, FixtureMiss, TransportError
 
 MODES = ("live", "record", "replay")
@@ -59,7 +57,12 @@ def request_fingerprint(payload: dict) -> str:
 
 def _http_post(url: str, headers: dict, payload: dict, timeout: float) -> str:
     """The only network touchpoint in the package."""
-    resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
+    import requests  # here, not at module top: only live and record modes load it
+
+    try:
+        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
+    except requests.RequestException as exc:
+        raise TransportError(f"{type(exc).__name__}: {exc}") from None
     if resp.status_code != 200:
         raise TransportError(f"endpoint returned {resp.status_code}")
     return resp.text
@@ -81,7 +84,7 @@ class HttpTransport:
         for attempt in range(self._cfg.max_retries + 1):
             try:
                 return _http_post(self._cfg.endpoint, headers, payload, self._cfg.timeout)
-            except (TransportError, requests.RequestException) as exc:
+            except TransportError as exc:
                 last = exc
                 if attempt < self._cfg.max_retries:
                     time.sleep(self._cfg.backoff_base * (2**attempt))

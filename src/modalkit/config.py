@@ -14,10 +14,18 @@ from dataclasses import dataclass
 from importlib.resources import files
 from pathlib import Path
 import json
+import sys
 
 from .chat import ChatClientConfig
 from .errors import ConfigError, InvariantViolation
-from .instruct import Candidate, InstructionType, load_candidates, load_reference_lines, read_dataset
+from .instruct import (
+    DEFAULT_TYPE_MIX,
+    Candidate,
+    InstructionType,
+    load_candidates,
+    load_reference_lines,
+    read_dataset,
+)
 from .media import EXTENSION_FOR_MODALITY
 from .meta import GENERATABLE_MODALITIES, Modality, modality_for_kind
 from .pipeline import ExternalBackend, default_pipeline_config, load_scripted_rules
@@ -100,7 +108,7 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
             kind=str(item["kind"]),
             priority=_expect_int(item.get("priority", 0), f"registry[{i}].priority", fail),
             backend=str(item.get("backend", "mock")),
-            command=item.get("command"),
+            command=_expect_str(item.get("command"), f"registry[{i}].command", fail),
         )
         try:
             modality_for_kind(entry.kind)
@@ -130,19 +138,18 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
         if not isinstance(raw_chat, dict):
             fail("chat must be an object or null")
         else:
+            fixture = _expect_str(raw_chat.get("fixture_path"), "chat.fixture_path", fail)
             chat_cfg = ChatClientConfig(
                 endpoint=str(raw_chat.get("endpoint", "")),
                 model=str(raw_chat.get("model", "default")),
                 auth_env=str(raw_chat.get("auth_env", "MODALKIT_API_TOKEN")),
-                timeout=float(raw_chat.get("timeout", 30.0)),
+                timeout=_expect_float(raw_chat.get("timeout", 30.0), "chat.timeout", fail),
                 max_retries=_expect_int(raw_chat.get("max_retries", 3), "chat.max_retries", fail),
-                backoff_base=float(raw_chat.get("backoff_base", 0.5)),
-                mode=str(raw_chat.get("mode", "replay")),
-                fixture_path=(
-                    str(base / raw_chat["fixture_path"])
-                    if raw_chat.get("fixture_path")
-                    else None
+                backoff_base=_expect_float(
+                    raw_chat.get("backoff_base", 0.5), "chat.backoff_base", fail
                 ),
+                mode=str(raw_chat.get("mode", "replay")),
+                fixture_path=str(base / fixture) if fixture else None,
             )
             try:
                 chat_cfg.validate()
@@ -172,6 +179,31 @@ def _expect_int(value, label: str, fail) -> int:
     return value
 
 
+def _expect_float(value, label: str, fail) -> float:
+    """A JSON number in the float range: bools, numeric strings, NaN and infinities fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        fail(f"{label} must be a finite number, got {value!r}")
+        return 0.0
+    return float(value)
+
+
+def _expect_bool(value, label: str, fail) -> bool:
+    if not isinstance(value, bool):
+        fail(f"{label} must be true or false, got {value!r}")
+        return False
+    return value
+
+
+def _expect_str(value, label: str, fail) -> str | None:
+    """A string, or None when the field is absent or null."""
+    if value is not None and not isinstance(value, str):
+        fail(f"{label} must be a string, got {value!r}")
+        return None
+    return value
+
+
 def _parse_enc_dims(raw, label: str, fail) -> dict[Modality, int]:
     if isinstance(raw, int) and not isinstance(raw, bool):
         return uniform_enc_dims(raw)
@@ -192,10 +224,10 @@ def _parse_train(raw, label: str, fail) -> TrainConfig:
         d_enc=_parse_enc_dims(raw.get("d_enc", 1024), f"{label}.d_enc", fail),
         d_llm=_expect_int(raw.get("d_llm", 4096), f"{label}.d_llm", fail),
         token_count=_expect_int(raw.get("token_count", 1), f"{label}.token_count", fail),
-        bias=bool(raw.get("bias", False)),
+        bias=_expect_bool(raw.get("bias", False), f"{label}.bias", fail),
         rank=_expect_int(raw.get("rank", 32), f"{label}.rank", fail),
-        alpha=float(raw.get("alpha", 16.0)),
-        learning_rate=float(raw.get("learning_rate", 0.05)),
+        alpha=_expect_float(raw.get("alpha", 16.0), f"{label}.alpha", fail),
+        learning_rate=_expect_float(raw.get("learning_rate", 0.05), f"{label}.learning_rate", fail),
         steps=_expect_int(raw.get("steps", 200), f"{label}.steps", fail),
         seed=_expect_int(raw.get("seed", 0), f"{label}.seed", fail),
         loss=str(raw.get("loss", "mse")),
@@ -228,16 +260,18 @@ def _parse_instruct(raw, base: Path, fail) -> InstructSettings:
     if not isinstance(raw, dict):
         fail("instruct must be an object")
         raw = {}
-    mix_raw = raw.get("type_mix", {t.value: w for t, w in _default_mix().items()})
+    mix_raw = raw.get("type_mix", {t.value: w for t, w in DEFAULT_TYPE_MIX.items()})
     mix: dict[InstructionType, float] = {}
     if not isinstance(mix_raw, dict):
         fail("instruct.type_mix must be an object")
     else:
         for key, weight in mix_raw.items():
             try:
-                mix[InstructionType(key)] = float(weight)
-            except (ValueError, TypeError):
+                kind = InstructionType(key)
+            except ValueError:
                 fail(f"instruct.type_mix has a bad entry: {key!r}: {weight!r}")
+                continue
+            mix[kind] = _expect_float(weight, f"instruct.type_mix.{key}", fail)
     candidates_raw = raw.get("candidates", {})
     candidate_paths = {}
     if not isinstance(candidates_raw, dict):
@@ -247,7 +281,7 @@ def _parse_instruct(raw, base: Path, fail) -> InstructSettings:
         name = candidates_raw.get(m.value, f"candidates_{m.value}.txt")
         candidate_paths[m] = base / str(name)
     return InstructSettings(
-        type_mix=mix or _default_mix(),
+        type_mix=mix or dict(DEFAULT_TYPE_MIX),
         seeds_path=base / str(raw.get("seeds", "seeds.jsonl")),
         candidate_paths=candidate_paths,
         references_path=base / str(raw.get("references", "references.txt")),
@@ -259,12 +293,6 @@ def _parse_instruct(raw, base: Path, fail) -> InstructSettings:
             raw.get("references_per_query", 3), "instruct.references_per_query", fail
         ),
     )
-
-
-def _default_mix() -> dict[InstructionType, float]:
-    from .instruct import DEFAULT_TYPE_MIX
-
-    return dict(DEFAULT_TYPE_MIX)
 
 
 # --- constructors over a loaded config ---------------------------------------

@@ -54,15 +54,6 @@ class UnknownModelKind(ModalkitError):
     """No registered backend serves the requested model kind."""
 
 
-class BackendFailure(ModalkitError):
-    """A generator backend raised; carries the plan index."""
-
-    def __init__(self, index: int, cause: str) -> None:
-        super().__init__(f"backend failed at plan index {index}: {cause}")
-        self.index = index
-        self.cause = cause
-
-
 # --- numerics ------------------------------------------------------------
 
 

@@ -33,6 +33,7 @@ from .meta import (
     Invocation,
     Modality,
     ValidationIssue,
+    has_lone_surrogate,
     kind_for_modality,
     parse_quoted,
     scan_tuple_lists,
@@ -186,6 +187,14 @@ def pair_from_json(line: str, lineno: int = 0) -> InstructionPair:
     response_text = obj["response_text"]
     if response_text is not None and not isinstance(response_text, str):
         raise MalformedLine(lineno, "response_text must be a string or null")
+    # Decoding yields a surrogate only from a \u escape or a non-ASCII line.
+    # Prompts are left to validate_pair, which reports UnpairedSurrogate.
+    if not line.isascii() or "\\u" in line:
+        texts = [("id", obj["id"]), ("instruction", obj["instruction"])]
+        texts += [("attachment path", a.path) for a in attachments]
+        for label, text in texts + [("response_text", response_text or "")]:
+            if has_lone_surrogate(text):
+                raise MalformedLine(lineno, f"{label} holds an unpaired surrogate")
     return InstructionPair(
         obj["id"],
         pair_type,
@@ -535,17 +544,10 @@ def template_generate(
 
 def load_candidates(path: str | Path, modality: Modality) -> list[Candidate]:
     """One description per line; blanks and # comments are skipped."""
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        text = line.strip()
-        if text and not text.startswith("#"):
-            out.append(Candidate(text, modality))
-    return out
+    return [Candidate(text, modality) for text in load_reference_lines(path)]
 
 
 def load_reference_lines(path: str | Path) -> list[str]:
-    return [
-        line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    ]
+    """The stripped lines of a text file, without blanks and # comments."""
+    lines = (line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines())
+    return [line for line in lines if line and not line.startswith("#")]

@@ -241,99 +241,73 @@ def run(
     raise before anything is generated; invocation-validation failures
     degrade to a text-only response instead.  The projection model is
     built once per distinct cfg value per process (a small bounded memo)
-    and shared read-only by every later request with an equal cfg."""
+    and shared read-only by every later request with an equal cfg.
+
+    A stage's elapsed_ms runs from the end of the stage before it (for
+    the first, from the workspace's creation) to the end of its own
+    details, so the stages tile the call; the "degraded" marker reads 0.0."""
     cfg = cfg or default_pipeline_config()
     _validate_request(req)  # before the workspace is even created
 
     ws = Path(workspace)
     ws.mkdir(parents=True, exist_ok=True)
     trace = PipelineTrace()
+    last = time.perf_counter()
 
-    def stage(name: str, fn):
-        t0 = time.perf_counter()
-        value, details = fn()
-        trace.stages.append(StageRecord(name, details, (time.perf_counter() - t0) * 1000.0))
-        return value
+    def record(name: str, details: dict) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        trace.stages.append(StageRecord(name, details, (now - last) * 1000.0))
+        last = now
 
-    stage(
+    attachments = [{"path": a.path, "modality": a.modality.value} for a in req.attachments]
+    record(
         "validate",
-        lambda: (
-            None,
-            {
-                "instruction_bytes": len(req.instruction.encode("utf-8")),
-                "attachments": [
-                    {"path": a.path, "modality": a.modality.value} for a in req.attachments
-                ],
-            },
-        ),
+        {"instruction_bytes": len(req.instruction.encode("utf-8")), "attachments": attachments},
     )
 
-    def do_encode():
-        vecs = [_encode_attachment(a, cfg, seed) for a in req.attachments]
-        return vecs, {"dims": [v.dim for v in vecs]}
+    embeddings = [_encode_attachment(a, cfg, seed) for a in req.attachments]
+    record("encode", {"dims": [v.dim for v in embeddings]})
 
-    embeddings = stage("encode", do_encode)
+    model = _shared_model(_config_key(cfg))
+    tokens = [project(model.projections[v.modality], v) for v in embeddings]
+    record("project", {"token_shapes": [list(t.shape) for t in tokens]})
 
-    def do_project():
-        model = _shared_model(_config_key(cfg))
-        tokens = [project(model.projections[v.modality], v) for v in embeddings]
-        return tokens, {"token_shapes": [list(t.shape) for t in tokens]}
+    raw = backend.generate(req.instruction, tuple(a.modality for a in req.attachments))
+    record("backend", {"backend": type(backend).__name__})
 
-    stage("project", do_project)
-
-    modalities = tuple(a.modality for a in req.attachments)
-    raw = stage(
-        "backend",
-        lambda: (
-            backend.generate(req.instruction, modalities),
-            {"backend": type(backend).__name__},
-        ),
-    )
-
-    def do_parse():
-        meta, diags = parse_meta_response(raw, mode="lenient")
-        return meta, {
+    meta, diags = parse_meta_response(raw, mode="lenient")
+    record(
+        "parse",
+        {
             "text_bytes": len(meta.text.encode("utf-8")),
             "invocations": [{"model": v.model, "prompt": v.prompt} for v in meta.invocations],
             "warnings": [m for _, m in diags.warnings],
-        }
+        },
+    )
 
-    meta = stage("parse", do_parse)
+    issues = [str(i) for i in validate_invocations(meta, registry)]
+    record("validate_invocations", {"issues": issues})
 
-    def do_validate():
-        found = validate_invocations(meta, registry)
-        return found, {"issues": [str(i) for i in found]}
-
-    issues = stage("validate_invocations", do_validate)
     if issues:
-        response = FinalResponse(
-            text=meta.text, diagnostics=tuple(str(i) for i in issues)
-        )
+        response = FinalResponse(text=meta.text, diagnostics=tuple(issues))
         trace.stages.append(
             StageRecord("degraded", {"reason": "invocation validation failed"}, 0.0)
         )
         (ws / "manifest.json").write_text(manifest_json(response), encoding="utf-8")
-        (ws / "trace.json").write_text(trace.to_json(include_timings), encoding="utf-8")
-        return response, trace
-
-    def do_route():
+    else:
         plan = route(meta, registry)
-        items = [
-            {"model": item.invocation.model, "backend": item.descriptor.name}
-            for item in plan.items
-        ]
-        return plan, {"items": items}
+        items = [{"model": i.invocation.model, "backend": i.descriptor.name} for i in plan.items]
+        record("route", {"items": items})
 
-    plan = stage("route", do_route)
-
-    def do_execute():
-        resp = execute_plan(plan, registry, ws, seed, workers=workers)
-        return resp, {
-            "artifacts": [a.path for a in resp.artifacts],
-            "failures": [f.error for f in resp.failures],
-        }
-
-    response = stage("execute", do_execute)
+        response = execute_plan(plan, registry, ws, seed, workers=workers)
+        record(
+            "execute",
+            {
+                "artifacts": [a.path for a in response.artifacts],
+                "failures": [f.error for f in response.failures],
+            },
+        )
 
     (ws / "trace.json").write_text(trace.to_json(include_timings), encoding="utf-8")
     return response, trace

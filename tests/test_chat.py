@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import requests
 
 from conftest import over_hostile_json
 from modalkit import chat
@@ -158,6 +163,29 @@ def test_http_transport_sends_bearer_token(monkeypatch):
     cfg = ChatClientConfig(endpoint="http://x", mode="live")
     HttpTransport(cfg, "secret-token").send(chat_payload("m", "p"))
     assert seen["Authorization"] == "Bearer secret-token"
+
+
+def test_http_post_maps_request_errors_to_transport_error(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "post", refuse)
+    with pytest.raises(TransportError, match="ConnectionError: connection refused"):
+        chat._http_post("http://x", {}, {}, 1.0)
+    cfg = ChatClientConfig(endpoint="http://x", mode="live", max_retries=1, backoff_base=0.0)
+    with pytest.raises(TransportError, match="gave up after 2 attempts"):
+        HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
+
+
+def test_cli_import_does_not_load_requests():
+    import modalkit
+
+    env = dict(os.environ, PYTHONPATH=str(Path(modalkit.__file__).parents[1]))
+    code = "import sys, modalkit.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_build_transport_replay_requires_existing_fixture(tmp_path):

@@ -166,6 +166,25 @@ def test_validate_dataset_lenient_accepts_two_key_form(tmp_path, capsys):
     assert main(["validate-dataset", "--in", str(path), "--mode", "strict"]) == 1
 
 
+@pytest.mark.parametrize("mode", ["strict", "lenient"])
+def test_validate_dataset_counts_unpaired_surrogate_invalid(tmp_path, capsys, mode):
+    path = tmp_path / "surrogate.jsonl"
+    line = {
+        "id": "s1",
+        "type": "input_align",
+        "instruction": "\ud800",
+        "attachments": [],
+        "invocations": [],
+        "response_text": "text",
+    }
+    path.write_text(json.dumps(line) + "\n")
+    assert main(["validate-dataset", "--in", str(path), "--mode", mode]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("line 1: ") and out.endswith("checked 0 pairs, 1 invalid\n")
+    if mode == "strict":
+        assert "instruction holds an unpaired surrogate" in out
+
+
 # --- exit contract on hostile input ------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["strict", "lenient"])

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import over_hostile_json
 from modalkit.chat import ChatClientConfig
+from modalkit.cli import main
 from modalkit.config import (
     build_language_backend,
     build_registry,
@@ -154,3 +155,50 @@ def test_hostile_json_config_is_config_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError):
         load_app_config(path)
+
+
+_REPLAY = {"mode": "replay", "fixture_path": "fx.json"}
+
+
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        ({"train": {"alpha": "abc"}}, "train.alpha must be a finite number, got 'abc'"),
+        ({"train": {"alpha": "0.1"}}, "train.alpha must be a finite number, got '0.1'"),
+        ({"train": {"alpha": float("nan")}}, "train.alpha must be a finite number, got nan"),
+        ({"train": {"alpha": 10**400}}, "train.alpha must be a finite number"),
+        ({"train": {"alpha": True}}, "train.alpha must be a finite number, got True"),
+        ({"train": {"learning_rate": float("inf")}}, "train.learning_rate must be a finite"),
+        ({"train": {"bias": "false"}}, "train.bias must be true or false, got 'false'"),
+        ({"chat": dict(_REPLAY, timeout=[1])}, "chat.timeout must be a finite number, got [1]"),
+        ({"chat": dict(_REPLAY, backoff_base="x")}, "chat.backoff_base must be a finite number"),
+        ({"chat": dict(_REPLAY, fixture_path=5)}, "chat.fixture_path must be a string, got 5"),
+        (
+            {"registry": [{"name": "x", "kind": "text-to-image", "backend": "command", "command": 5}]},
+            "registry[0].command must be a string, got 5",
+        ),
+        (
+            {"instruct": {"type_mix": {"reasoning": "0.2"}}},
+            "instruct.type_mix.reasoning must be a finite number, got '0.2'",
+        ),
+    ],
+)
+def test_mistyped_fields_are_one_config_error(tmp_path, capsys, overrides, fragment):
+    path = write_config(tmp_path, minimal_doc(**overrides))
+    with pytest.raises(ConfigError) as excinfo:
+        load_app_config(path)
+    assert fragment in str(excinfo.value)
+    assert main(["params", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError") and "Traceback" not in err
+
+
+def test_typed_fields_accept_json_numbers_and_bools(tmp_path):
+    doc = minimal_doc(
+        train={"alpha": 8, "learning_rate": 0.5, "bias": True},
+        chat=dict(_REPLAY, timeout=5, backoff_base=0),
+    )
+    app = load_app_config(write_config(tmp_path, doc))
+    assert app.train.alpha == 8.0 and isinstance(app.train.alpha, float)
+    assert app.train.learning_rate == 0.5 and app.train.bias is True
+    assert app.chat.timeout == 5.0 and app.chat.backoff_base == 0.0

@@ -303,6 +303,42 @@ def test_strict_read_reports_line_numbers(tmp_path):
     assert excinfo.value.lineno == 3  # blank lines keep their numbering
 
 
+SURROGATE_FIELDS = ["id", "instruction", "attachment path", "response_text"]
+
+
+def _with_lone_surrogate(field: str, ensure_ascii: bool = True) -> str:
+    obj = json.loads(pair_to_json(caption_pair()))
+    if field == "attachment path":
+        obj["attachments"][0]["path"] = "sun\ud800set.png"
+    else:
+        obj[field] = "\ud800"
+    # ensure_ascii writes the surrogate as a \ud800 escape, otherwise as the raw code point
+    return json.dumps(obj, ensure_ascii=ensure_ascii)
+
+
+@pytest.mark.parametrize("field", SURROGATE_FIELDS)
+def test_strict_read_rejects_unpaired_surrogates(tmp_path, field):
+    path = tmp_path / "surrogate.jsonl"
+    path.write_text(pair_to_json(CAT_PAIR) + "\n" + _with_lone_surrogate(field) + "\n")
+    with pytest.raises(MalformedLine) as excinfo:
+        read_dataset(path, mode="strict")
+    assert excinfo.value.lineno == 2
+    assert excinfo.value.reason == f"{field} holds an unpaired surrogate"
+
+
+@pytest.mark.parametrize("field", SURROGATE_FIELDS)
+def test_pair_from_json_rejects_raw_surrogates(field):
+    with pytest.raises(MalformedLine, match=f"{field} holds an unpaired surrogate"):
+        pair_from_json(_with_lone_surrogate(field, ensure_ascii=False))
+
+
+def test_prompt_surrogate_stays_a_validation_issue():
+    obj = json.loads(pair_to_json(CAT_PAIR))
+    obj["invocations"][0]["prompt"] = "\ud800"
+    pair = pair_from_json(json.dumps(obj))
+    assert [i.code for i in validate_pair(pair)] == ["UnpairedSurrogate"]
+
+
 # --- query assembly -----------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -399,3 +400,39 @@ def test_memo_key_covers_the_training_fields(tmp_path):
     bad = TrainConfig(d_enc=uniform_enc_dims(64), d_llm=96, rank=4, learning_rate=-1.0)
     with pytest.raises(InvalidArgument):
         _run_cat(tmp_path, "bad", bad)
+
+
+class SlowBackend:
+    """Sleeps before answering, so the backend stage has a known floor."""
+
+    def __init__(self, inner, seconds: float) -> None:
+        self._inner = inner
+        self._seconds = seconds
+
+    def generate(self, instruction, modalities):
+        time.sleep(self._seconds)
+        return self._inner.generate(instruction, modalities)
+
+
+HOLOGRAM = '{"text":"trying","invocations":[{"model":"text-to-hologram","prompt":"x"}]}'
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+def test_stage_timings_tile_the_call(tmp_path, degraded):
+    inner = ScriptedBackend([ScriptedRule(respond=HOLOGRAM)]) if degraded else cat_backend()
+    req, ws = cat_request(tmp_path), tmp_path / "ws"
+    t0 = time.perf_counter()
+    _, trace = run(req, default_registry(), SlowBackend(inner, 0.02), ws)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    elapsed = {s.name: s.elapsed_ms for s in trace.stages}
+    assert len(elapsed) == len(trace.stages)
+    assert all(ms >= 0 for ms in elapsed.values())
+    assert sum(elapsed.values()) <= wall_ms
+    assert elapsed["backend"] >= 19.0  # the sleep lands in its own stage
+    if degraded:
+        assert list(elapsed) == SUCCESS_STAGES[:6] + ["degraded"]
+        assert elapsed["degraded"] == 0.0
+    else:
+        assert list(elapsed) == SUCCESS_STAGES
+    written = json.loads((ws / "trace.json").read_text())["stages"]
+    assert [s["elapsed_ms"] for s in written] == [round(s.elapsed_ms, 3) for s in trace.stages]
