@@ -152,7 +152,10 @@ def cmd_generate_instructions(args) -> int:
         pairs, report = generate_pairs_llm(app.chat, bundle, args.n, registry)
         shortfall = report.shortfall
         print(report.summary())
-    write_dataset(pairs, args.out)
+    try:
+        write_dataset(pairs, args.out)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {args.out}: {exc}") from None
     counts = Counter(p.type.value for p in pairs)
     for t in InstructionType:
         print(f"{t.value} {counts.get(t.value, 0)}")

@@ -72,7 +72,6 @@ class AppConfig:
     pipeline: TrainConfig
     instruct: InstructSettings
     chat: ChatClientConfig | None
-    base_dir: Path
 
 
 def load_app_config(path: str | Path | None = None) -> AppConfig:
@@ -92,7 +91,7 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
         problems.append(msg)
 
     seed = _expect_int(doc.get("seed", 0), "seed", fail)
-    workspace = Path(str(doc.get("workspace", "runs")))
+    workspace = Path(_expect_str(doc.get("workspace", "runs"), "workspace", fail))
 
     entries: list[RegistryEntry] = []
     raw_registry = doc.get("registry", [])
@@ -103,30 +102,34 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
         if not isinstance(item, dict) or "name" not in item or "kind" not in item:
             fail(f"registry[{i}] must be an object with name and kind")
             continue
+        label, command = f"registry[{i}]", item.get("command")
         entry = RegistryEntry(
-            name=str(item["name"]),
-            kind=str(item["kind"]),
-            priority=_expect_int(item.get("priority", 0), f"registry[{i}].priority", fail),
-            backend=str(item.get("backend", "mock")),
-            command=_expect_str(item.get("command"), f"registry[{i}].command", fail),
+            name=_expect_str(item["name"], f"{label}.name", fail),
+            kind=_expect_str(item["kind"], f"{label}.kind", fail),
+            priority=_expect_int(item.get("priority", 0), f"{label}.priority", fail),
+            backend=_expect_str(item.get("backend", "mock"), f"{label}.backend", fail),
+            command=command if command is None else _expect_str(command, f"{label}.command", fail),
         )
         try:
             modality_for_kind(entry.kind)
         except InvariantViolation:
-            fail(f"registry[{i}].kind {entry.kind!r} is not a known generator kind")
+            fail(f"{label}.kind {entry.kind!r} is not a known generator kind")
         if entry.backend not in ("mock", "command"):
-            fail(f"registry[{i}].backend must be mock or command")
+            fail(f"{label}.backend must be mock or command")
         if entry.backend == "command":
             if not entry.command:
-                fail(f"registry[{i}] uses the command backend but has no command")
+                fail(f"{label} uses the command backend but has no command")
             else:
                 entry.command = str(base / entry.command)
         entries.append(entry)
 
-    language_backend = str(doc.get("language_backend", "scripted"))
+    language_backend = _expect_str(
+        doc.get("language_backend", "scripted"), "language_backend", fail
+    )
     if language_backend not in ("scripted", "external"):
         fail("language_backend must be scripted or external")
-    backend_rules = base / str(doc.get("backend_rules", "rules.json"))
+    rules = _expect_str(doc.get("backend_rules", "rules.json"), "backend_rules", fail)
+    backend_rules = base / rules
 
     train = _parse_train(doc.get("train", {}), "train", fail)
     pipeline = _parse_pipeline(doc.get("pipeline", {}), seed, fail)
@@ -138,17 +141,21 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
         if not isinstance(raw_chat, dict):
             fail("chat must be an object or null")
         else:
-            fixture = _expect_str(raw_chat.get("fixture_path"), "chat.fixture_path", fail)
+            fixture = raw_chat.get("fixture_path")
+            if fixture is not None:
+                fixture = _expect_str(fixture, "chat.fixture_path", fail)
             chat_cfg = ChatClientConfig(
-                endpoint=str(raw_chat.get("endpoint", "")),
-                model=str(raw_chat.get("model", "default")),
-                auth_env=str(raw_chat.get("auth_env", "MODALKIT_API_TOKEN")),
+                endpoint=_expect_str(raw_chat.get("endpoint", ""), "chat.endpoint", fail),
+                model=_expect_str(raw_chat.get("model", "default"), "chat.model", fail),
+                auth_env=_expect_str(
+                    raw_chat.get("auth_env", "MODALKIT_API_TOKEN"), "chat.auth_env", fail
+                ),
                 timeout=_expect_float(raw_chat.get("timeout", 30.0), "chat.timeout", fail),
                 max_retries=_expect_int(raw_chat.get("max_retries", 3), "chat.max_retries", fail),
                 backoff_base=_expect_float(
                     raw_chat.get("backoff_base", 0.5), "chat.backoff_base", fail
                 ),
-                mode=str(raw_chat.get("mode", "replay")),
+                mode=_expect_str(raw_chat.get("mode", "replay"), "chat.mode", fail),
                 fixture_path=str(base / fixture) if fixture else None,
             )
             try:
@@ -168,7 +175,6 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
         pipeline=pipeline,
         instruct=instruct,
         chat=chat_cfg,
-        base_dir=base,
     )
 
 
@@ -196,11 +202,10 @@ def _expect_bool(value, label: str, fail) -> bool:
     return value
 
 
-def _expect_str(value, label: str, fail) -> str | None:
-    """A string, or None when the field is absent or null."""
-    if value is not None and not isinstance(value, str):
+def _expect_str(value, label: str, fail) -> str:
+    if not isinstance(value, str):
         fail(f"{label} must be a string, got {value!r}")
-        return None
+        return ""
     return value
 
 
@@ -230,7 +235,7 @@ def _parse_train(raw, label: str, fail) -> TrainConfig:
         learning_rate=_expect_float(raw.get("learning_rate", 0.05), f"{label}.learning_rate", fail),
         steps=_expect_int(raw.get("steps", 200), f"{label}.steps", fail),
         seed=_expect_int(raw.get("seed", 0), f"{label}.seed", fail),
-        loss=str(raw.get("loss", "mse")),
+        loss=_expect_str(raw.get("loss", "mse"), f"{label}.loss", fail),
     )
     try:
         cfg.validate()
@@ -279,12 +284,14 @@ def _parse_instruct(raw, base: Path, fail) -> InstructSettings:
         candidates_raw = {}
     for m in GENERATABLE_MODALITIES:
         name = candidates_raw.get(m.value, f"candidates_{m.value}.txt")
-        candidate_paths[m] = base / str(name)
+        candidate_paths[m] = base / _expect_str(name, f"instruct.candidates.{m.value}", fail)
     return InstructSettings(
         type_mix=mix or dict(DEFAULT_TYPE_MIX),
-        seeds_path=base / str(raw.get("seeds", "seeds.jsonl")),
+        seeds_path=base / _expect_str(raw.get("seeds", "seeds.jsonl"), "instruct.seeds", fail),
         candidate_paths=candidate_paths,
-        references_path=base / str(raw.get("references", "references.txt")),
+        references_path=base / _expect_str(
+            raw.get("references", "references.txt"), "instruct.references", fail
+        ),
         seeds_per_query=_expect_int(raw.get("seeds_per_query", 3), "instruct.seeds_per_query", fail),
         candidates_per_query=_expect_int(
             raw.get("candidates_per_query", 4), "instruct.candidates_per_query", fail
@@ -320,10 +327,17 @@ def build_language_backend(app: AppConfig, transport=None):
 
 
 def load_instruct_corpus(app: AppConfig):
-    """Seeds, merged candidates, and references from the configured files."""
-    seeds = read_dataset(app.instruct.seeds_path, mode="strict")
-    candidates: list[Candidate] = []
-    for m in GENERATABLE_MODALITIES:
-        candidates.extend(load_candidates(app.instruct.candidate_paths[m], m))
-    references = load_reference_lines(app.instruct.references_path)
+    """Seeds, merged candidates, and references from the configured files;
+    a file that cannot be read or decoded is a ConfigError naming it."""
+    path = app.instruct.seeds_path
+    try:
+        seeds = read_dataset(path, mode="strict")
+        candidates: list[Candidate] = []
+        for m in GENERATABLE_MODALITIES:
+            path = app.instruct.candidate_paths[m]
+            candidates.extend(load_candidates(path, m))
+        path = app.instruct.references_path
+        references = load_reference_lines(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     return seeds, candidates, references

@@ -38,15 +38,11 @@ class InvariantViolation(MetaError):
 # --- model zoo -----------------------------------------------------------
 
 
-class RegistryError(ModalkitError):
-    pass
-
-
-class DuplicateName(RegistryError):
+class DuplicateName(ModalkitError):
     """A backend name was registered twice."""
 
 
-class RegistryFinalized(RegistryError):
+class RegistryFinalized(ModalkitError):
     """Mutation attempted after finalize()."""
 
 
@@ -57,58 +53,50 @@ class UnknownModelKind(ModalkitError):
 # --- numerics ------------------------------------------------------------
 
 
-class NumericsError(ModalkitError):
+class ShapeMismatch(ModalkitError):
     pass
 
 
-class ShapeMismatch(NumericsError):
+class ModalityMismatch(ModalkitError):
     pass
 
 
-class ModalityMismatch(NumericsError):
-    pass
-
-
-class EmptyInput(NumericsError):
+class EmptyInput(ModalkitError):
     """encode was handed zero bytes."""
 
 
-class BadMagic(NumericsError):
+class BadMagic(ModalkitError):
     """Embedding file does not start with the expected magic."""
 
 
-class DimMismatch(NumericsError):
+class DimMismatch(ModalkitError):
     """Declared embedding dimension disagrees with the payload."""
 
 
-class NotNormalized(NumericsError):
+class NotNormalized(ModalkitError):
     """Stored embedding is too far from unit norm to repair."""
 
 
-class DivergenceDetected(NumericsError):
+class DivergenceDetected(ModalkitError):
     """Training loss went non-finite."""
 
 
 class InvalidArgument(ModalkitError):
-    """A caller-supplied scalar is out of range."""
+    """A caller-supplied value is out of range or names a path that cannot be used."""
 
 
 # --- instruction generation ----------------------------------------------
 
 
-class InstructError(ModalkitError):
-    pass
-
-
-class EmptyBundle(InstructError):
+class EmptyBundle(ModalkitError):
     """Query bundle is missing a required section."""
 
 
-class InsufficientCandidates(InstructError):
+class InsufficientCandidates(ModalkitError):
     """No candidate description available for a needed modality."""
 
 
-class MalformedLine(InstructError):
+class MalformedLine(ModalkitError):
     """A dataset line could not be interpreted; carries the line number."""
 
     def __init__(self, lineno: int, reason: str) -> None:
@@ -117,26 +105,22 @@ class MalformedLine(InstructError):
         self.reason = reason
 
 
-class TransportError(InstructError):
+class TransportError(ModalkitError):
     """Chat transport failed after exhausting retries."""
 
 
-class FixtureMiss(InstructError):
+class FixtureMiss(ModalkitError):
     """Replay fixture holds no (more) responses for a request."""
 
 
 # --- pipeline / config ----------------------------------------------------
 
 
-class PipelineError(ModalkitError):
-    pass
-
-
-class InstructionRequired(PipelineError):
+class InstructionRequired(ModalkitError):
     """Request instruction is empty."""
 
 
-class AttachmentMissing(PipelineError):
+class AttachmentMissing(ModalkitError):
     """Request references an attachment file that does not exist."""
 
 

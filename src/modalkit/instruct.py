@@ -30,14 +30,15 @@ from .media import modality_for_path
 from .meta import (
     GENERATABLE_MODALITIES,
     MODEL_KIND_RE,
+    QUOTED,
+    STRING_LIST,
     Invocation,
     Modality,
     ValidationIssue,
     has_lone_surrogate,
     kind_for_modality,
-    parse_quoted,
     scan_tuple_lists,
-    skip_ws,
+    unquote,
     validate_invocations,
 )
 from .zoo import default_registry
@@ -226,7 +227,7 @@ def _recover_two_key(line: str, lineno: int) -> InstructionPair:
     m = _TWO_KEY_INSTRUCTION_RE.search(line)
     if m is None:
         raise MalformedLine(lineno, "no canonical object and no instruction list")
-    strings, _ = _read_string_list(line, m.end() - 1, lineno)
+    strings = _read_string_list(line, m.end() - 1, lineno)
     if not strings:
         raise MalformedLine(lineno, "instruction list is empty")
     instruction, filenames = strings[0], strings[1:]
@@ -254,22 +255,14 @@ def _recover_two_key(line: str, lineno: int) -> InstructionPair:
     )
 
 
-def _read_string_list(s: str, start: int, lineno: int) -> tuple[list[str], int]:
-    """Parse [ "a", "b", ] starting at the opening bracket."""
-    i = skip_ws(s, start + 1)
-    out: list[str] = []
-    while i < len(s) and s[i] != "]":
-        got = parse_quoted(s, i)
-        if got is None:
-            raise MalformedLine(lineno, "instruction list holds a non-string")
-        value, i = got
-        out.append(value)
-        i = skip_ws(s, i)
-        if i < len(s) and s[i] == ",":
-            i = skip_ws(s, i + 1)
-    if i >= len(s):
+def _read_string_list(s: str, start: int, lineno: int) -> list[str]:
+    """Parse [ "a", "b", ] starting at the opening bracket; commas are optional."""
+    end = STRING_LIST.match(s, start).end()
+    if end == len(s):
         raise MalformedLine(lineno, "instruction list never closes")
-    return out, i + 1
+    if s[end] != "]":
+        raise MalformedLine(lineno, "instruction list holds a non-string")
+    return [unquote(literal) for literal in QUOTED.findall(s, start, end)]
 
 
 def write_dataset(pairs: list[InstructionPair], path: str | Path) -> int:
@@ -310,7 +303,6 @@ class QueryBundle:
     candidates: tuple[Candidate, ...]
     references: tuple[str, ...]
     target_type: InstructionType
-    template_id: str = "labeled-sections-v1"
 
 
 def assemble_query(bundle: QueryBundle) -> str:

@@ -17,9 +17,10 @@ checked syntactically here (text-to-<word>); whether a kind is actually
 served is a registry question answered by validate_invocations.
 
 Each rule has one home here: check_prompt is the prompt rule that the
-parsers and both validators share, and scan_tuple_lists, parse_quoted
-and skip_ws are the tuple-list grammar, public because the dataset
-reader recovers the same form from older lines.
+parsers and both validators share, and the tuple-list grammar is a
+handful of regular patterns.  Its QUOTED and STRING_LIST patterns,
+unquote and scan_tuple_lists are public because the dataset reader
+recovers the same form from older lines.
 """
 
 from __future__ import annotations
@@ -317,102 +318,48 @@ def _recover_prose(raw: str) -> tuple[MetaResponse, ParseDiagnostics]:
     return MetaResponse(text, tuple(invocations)), ParseDiagnostics("lenient", tuple(warnings))
 
 
+# The tuple-list grammar, one regular pattern per rule:
+#
+#   ws      = [ \t\r\n]*   (not \s: form feed, \v and NBSP are text)
+#   lit     = "..." | '...'   a backslash escapes the next character, newline included
+#   pair    = ( ws lit ws , ws lit ws [, ws] )
+#   list    = [ ws pair ws (, ws pair ws)* [, ws] ]
+#   strings = [ ws (lit ws [, ws])*   the two-key instruction list, up to its ]
+_WS = "[ \t\r\n]*"
+_LIT = r""""[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'"""
+_PAIR = rf"\({_WS}({_LIT}){_WS},{_WS}({_LIT}){_WS}(?:,{_WS})?\)"
+QUOTED = re.compile(_LIT, re.DOTALL)
+STRING_LIST = re.compile(rf"\[{_WS}(?:(?:{_LIT}){_WS}(?:,{_WS})?)*", re.DOTALL)
+_PAIR_RE = re.compile(_PAIR, re.DOTALL)
+_TUPLE_LIST_RE = re.compile(
+    rf"\[{_WS}{_PAIR}{_WS}(?:,{_WS}{_PAIR}{_WS})*(?:,{_WS})?\]", re.DOTALL
+)
+
+_ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def unquote(literal: str) -> str:
+    """The value of a QUOTED literal: \\ \\' \\" \\n \\t decode, any other
+    backslash pair stays as written."""
+    body = literal[1:-1]
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[0]), body)
+
+
 def scan_tuple_lists(raw: str):
     """Yield (start, end, records) for each tuple list in raw, in textual
     order, where records are its (model, prompt) pairs.  A list counts
     only when every model looks like a model kind, so ordinary bracketed
-    lists in model chatter stay prose."""
-    i = 0
-    n = len(raw)
-    while i < n:
-        if raw[i] != "[":
-            i += 1
-            continue
-        parsed = _parse_tuple_list(raw, i)
-        if parsed is None:
-            i += 1
-            continue
-        records, end = parsed
+    lists in model chatter stay prose; the scan then resumes inside it."""
+    pos = 0
+    while (m := _TUPLE_LIST_RE.search(raw, pos)) is not None:
+        # inside a matched list, only its own pairs match the pair pattern
+        pairs = _PAIR_RE.findall(raw, m.start(), m.end())
+        records = [(unquote(model), unquote(prompt)) for model, prompt in pairs]
         if all(MODEL_KIND_RE.fullmatch(model) for model, _ in records):
-            yield i, end, records
-            i = end
+            yield m.start(), m.end(), records
+            pos = m.end()
         else:
-            i += 1
-
-
-def skip_ws(s: str, i: int) -> int:
-    """Index of the first non-whitespace character at or after i."""
-    while i < len(s) and s[i] in " \t\r\n":
-        i += 1
-    return i
-
-
-_ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t"}
-
-
-def parse_quoted(s: str, i: int) -> tuple[str, int] | None:
-    """Read the quoted literal opening at s[i] (either quote, backslash
-    escapes); return (value, index past the closing quote) or None."""
-    if i >= len(s) or s[i] not in "'\"":
-        return None
-    quote = s[i]
-    i += 1
-    out: list[str] = []
-    while i < len(s):
-        c = s[i]
-        if c == "\\" and i + 1 < len(s):
-            out.append(_ESCAPES.get(s[i + 1], "\\" + s[i + 1]))
-            i += 2
-            continue
-        if c == quote:
-            return "".join(out), i + 1
-        out.append(c)
-        i += 1
-    return None
-
-
-def _parse_pair(s: str, i: int) -> tuple[tuple[str, str], int] | None:
-    if i >= len(s) or s[i] != "(":
-        return None
-    i = skip_ws(s, i + 1)
-    first = parse_quoted(s, i)
-    if first is None:
-        return None
-    model, i = first
-    i = skip_ws(s, i)
-    if i >= len(s) or s[i] != ",":
-        return None
-    i = skip_ws(s, i + 1)
-    second = parse_quoted(s, i)
-    if second is None:
-        return None
-    prompt, i = second
-    i = skip_ws(s, i)
-    if i < len(s) and s[i] == ",":  # tolerate a trailing comma in the pair
-        i = skip_ws(s, i + 1)
-    if i >= len(s) or s[i] != ")":
-        return None
-    return (model, prompt), i + 1
-
-
-def _parse_tuple_list(s: str, i: int) -> tuple[list[tuple[str, str]], int] | None:
-    if s[i] != "[":
-        return None
-    i = skip_ws(s, i + 1)
-    records: list[tuple[str, str]] = []
-    while True:
-        pair = _parse_pair(s, i)
-        if pair is None:
-            break
-        record, i = pair
-        records.append(record)
-        i = skip_ws(s, i)
-        if i < len(s) and s[i] == ",":
-            i = skip_ws(s, i + 1)
-            continue
-        break
-    if not records:
-        return None
-    if i >= len(s) or s[i] != "]":
-        return None
-    return records, i + 1
+            pos = m.start() + 1

@@ -20,6 +20,7 @@ from .errors import (
     AttachmentMissing,
     ConfigError,
     InstructionRequired,
+    InvalidArgument,
     ModalityMismatch,
     ShapeMismatch,
 )
@@ -250,7 +251,10 @@ def run(
     _validate_request(req)  # before the workspace is even created
 
     ws = Path(workspace)
-    ws.mkdir(parents=True, exist_ok=True)
+    try:
+        ws.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot create workspace {ws}: {exc}") from None
     trace = PipelineTrace()
     last = time.perf_counter()
 

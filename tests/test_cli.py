@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import HOSTILE_JSON
 from modalkit.cli import main
+from modalkit.config import data_dir
 from modalkit.instruct import Candidate, template_generate, write_dataset
 from modalkit.media import render_placeholder
 from modalkit.meta import Modality
@@ -121,6 +122,38 @@ def test_generate_llm_beyond_fixture_is_shortfall(tmp_path, capsys):
     assert code == 1
     assert "shortfall=1" in stdout
     assert len(out.read_text().splitlines()) == 15
+
+
+def _bundled_config_copy(tmp_path: Path) -> Path:
+    """The bundled config and every file it names, copied into tmp_path."""
+    for src in data_dir().iterdir():
+        (tmp_path / src.name).write_bytes(src.read_bytes())
+    return tmp_path / "default_config.json"
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}\n"], ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("name", ["seeds.jsonl", "candidates_audio.txt", "references.txt"])
+def test_generate_unreadable_corpus_file_exit_2(tmp_path, capsys, name, content):
+    config = _bundled_config_copy(tmp_path)
+    target = tmp_path / name
+    if content is None:
+        target.unlink()
+    else:
+        target.write_bytes(content)
+    code = main(["generate-instructions", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: ConfigError: cannot read {target}: ")
+    assert err.count("\n") == 1
+
+
+def test_generate_out_is_a_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["generate-instructions", "--n", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidArgument: cannot write {out}: ")
+    assert err.count("\n") == 1
 
 
 # --- validate-dataset ---------------------------------------------------------------
@@ -310,6 +343,16 @@ def test_run_uninferrable_attachment_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "error: InvalidArgument" in capsys.readouterr().err
+
+
+def test_run_workspace_is_a_file_exit_2(tmp_path, capsys):
+    ws = tmp_path / "taken"
+    ws.write_text("x")
+    assert main(["run", "--instruction", "Go.", "--workspace", str(ws)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidArgument: cannot create workspace {ws}: ")
+    assert err.count("\n") == 1
+    assert ws.read_text() == "x"
 
 
 def test_run_degraded_exit_1(tmp_path, capsys):

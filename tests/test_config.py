@@ -181,6 +181,23 @@ _REPLAY = {"mode": "replay", "fixture_path": "fx.json"}
             {"instruct": {"type_mix": {"reasoning": "0.2"}}},
             "instruct.type_mix.reasoning must be a finite number, got '0.2'",
         ),
+        ({"workspace": ["a"]}, "workspace must be a string, got ['a']"),
+        ({"registry": [{"name": 5, "kind": "text-to-image"}]}, "registry[0].name must be a string"),
+        ({"registry": [{"name": "x", "kind": ["text-to-image"]}]}, "registry[0].kind must be a"),
+        (
+            {"registry": [{"name": "x", "kind": "text-to-image", "backend": None}]},
+            "registry[0].backend must be a string, got None",
+        ),
+        ({"language_backend": 1}, "language_backend must be a string, got 1"),
+        ({"backend_rules": ["r.json"]}, "backend_rules must be a string, got ['r.json']"),
+        ({"chat": dict(_REPLAY, endpoint=5)}, "chat.endpoint must be a string, got 5"),
+        ({"chat": dict(_REPLAY, model=None)}, "chat.model must be a string, got None"),
+        ({"chat": dict(_REPLAY, auth_env=7)}, "chat.auth_env must be a string, got 7"),
+        ({"chat": dict(_REPLAY, mode=["replay"])}, "chat.mode must be a string, got ['replay']"),
+        ({"instruct": {"seeds": 5}}, "instruct.seeds must be a string, got 5"),
+        ({"instruct": {"candidates": {"audio": 7}}}, "instruct.candidates.audio must be a string"),
+        ({"instruct": {"references": None}}, "instruct.references must be a string, got None"),
+        ({"train": {"loss": 0}}, "train.loss must be a string, got 0"),
     ],
 )
 def test_mistyped_fields_are_one_config_error(tmp_path, capsys, overrides, fragment):
