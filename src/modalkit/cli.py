@@ -33,7 +33,7 @@ from .instruct import (
 from .media import modality_for_path
 from .meta import Modality, has_lone_surrogate, parse_meta_response, serialize_meta_response
 from .pipeline import UserRequest, run
-from .projection import gradient_check, param_count, random_check_instance
+from .projection import gradient_check, param_blocks, random_check_instance
 from .zoo import default_registry, manifest_json
 
 
@@ -129,6 +129,9 @@ def cmd_parse_meta(args) -> int:
 def cmd_generate_instructions(args) -> int:
     if args.n < 1:
         raise InvalidArgument(f"--n must be >= 1, got {args.n}")
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise InvalidArgument(f"cannot write {out}: not a file in an existing directory")
     app = load_app_config(args.config)
     seed = app.seed if args.seed is None else args.seed
     seeds, candidates, references = load_instruct_corpus(app)
@@ -242,6 +245,10 @@ def cmd_run(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise InvalidArgument(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise InvalidArgument(f"--seed must be >= 0, got {args.seed}")
+    if not 0 < args.epsilon < float("inf"):
+        raise InvalidArgument(f"--epsilon must be a finite number > 0, got {args.epsilon}")
     tamper = 1e-3 if args.perturb_gradients else 0.0
     worst = 0.0
     for trial in range(args.trials):
@@ -259,14 +266,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_params(args) -> int:
-    app = load_app_config(args.config)
-    cfg = app.train
-    total = param_count(cfg)
-    for m in sorted(cfg.d_enc, key=lambda m: m.value):
-        block = cfg.token_count * cfg.d_llm * cfg.d_enc[m]
-        if cfg.bias:
-            block += cfg.token_count * cfg.d_llm
-        print(f"proj.{m.value} {block}")
-    print(f"lora {2 * cfg.rank * cfg.d_llm}")
+    blocks = param_blocks(load_app_config(args.config).train)
+    for name, size in blocks.items():
+        print(f"{name} {size}")
+    total = sum(blocks.values())
     print(f"total {total} ({total:,})")
     return 0

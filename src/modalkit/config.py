@@ -1,23 +1,24 @@
 """Application config: one JSON file drives every CLI command.
 
 Parse first, then validate everything and report all problems in one
-ConfigError.  Input paths (rules, seeds, candidates, references, chat
-fixtures) resolve relative to the config file so a config can travel
-with its fixtures.  Output paths (the workspace) resolve against the
-working directory, because the default config ships inside the package
-and installs must stay read-only.
+ConfigError.  A field's declared type picks its JSON check, and a field
+the file omits keeps its dataclass default.  Input paths (rules, seeds,
+candidates, references, chat fixtures) resolve relative to the config
+file so a config can travel with its fixtures.  Output paths (the
+workspace) resolve against the working directory, because the default
+config ships inside the package and installs must stay read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib.resources import files
 from pathlib import Path
 import json
 import sys
 
 from .chat import ChatClientConfig
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, MalformedLine, ModalkitError
 from .instruct import (
     DEFAULT_TYPE_MIX,
     Candidate,
@@ -28,7 +29,7 @@ from .instruct import (
 )
 from .media import EXTENSION_FOR_MODALITY
 from .meta import GENERATABLE_MODALITIES, Modality, modality_for_kind
-from .pipeline import ExternalBackend, default_pipeline_config, load_scripted_rules
+from .pipeline import ExternalBackend, ScriptedBackend, ScriptedRule, default_pipeline_config
 from .projection import TrainConfig, uniform_enc_dims
 from .zoo import ModelDescriptor, ModelRegistry, command_executor, mock_executor
 
@@ -49,6 +50,13 @@ class RegistryEntry:
     backend: str = "mock"  # mock | command
     command: str | None = None
 
+    def validate(self) -> None:
+        modality_for_kind(self.kind)
+        if self.backend not in ("mock", "command"):
+            raise ConfigError("backend must be mock or command")
+        if self.backend == "command" and not self.command:
+            raise ConfigError("the command backend needs a command")
+
 
 @dataclass
 class InstructSettings:
@@ -59,6 +67,11 @@ class InstructSettings:
     seeds_per_query: int = 3
     candidates_per_query: int = 4
     references_per_query: int = 3
+
+    def validate(self) -> None:
+        for name in ("seeds_per_query", "candidates_per_query", "references_per_query"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -74,24 +87,30 @@ class AppConfig:
     chat: ChatClientConfig | None
 
 
+# The train section's own defaults: the paper-scale budget that
+# `modalkit params` reports, where TrainConfig defaults to toy sizes.
+TRAIN_DEFAULTS = {"d_enc": 1024, "d_llm": 4096, "rank": 32, "steps": 200}
+
+
 def load_app_config(path: str | Path | None = None) -> AppConfig:
     cfg_path = Path(path) if path is not None else default_config_path()
-    try:
-        doc = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {cfg_path}: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"config {cfg_path} is not valid JSON: {exc}") from None
+    doc = _read_json(cfg_path, "config")
     if not isinstance(doc, dict):
         raise ConfigError(f"config {cfg_path} must be a JSON object")
     base = cfg_path.resolve().parent
     problems: list[str] = []
+    fail = problems.append
 
-    def fail(msg: str) -> None:
-        problems.append(msg)
+    def top(key: str, kind: str, default):
+        value = doc.get(key, default)
+        return value if _check(value, kind, key, fail) else default
 
-    seed = _expect_int(doc.get("seed", 0), "seed", fail)
-    workspace = Path(_expect_str(doc.get("workspace", "runs"), "workspace", fail))
+    seed = top("seed", "int", 0)
+    workspace = Path(top("workspace", "str", "runs"))
+    language_backend = top("language_backend", "str", "scripted")
+    if language_backend not in ("scripted", "external"):
+        fail("language_backend must be scripted or external")
+    backend_rules = base / top("backend_rules", "str", "rules.json")
 
     entries: list[RegistryEntry] = []
     raw_registry = doc.get("registry", [])
@@ -99,69 +118,36 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
         fail("registry must be a nonempty list")
         raw_registry = []
     for i, item in enumerate(raw_registry):
+        label = f"registry[{i}]"
         if not isinstance(item, dict) or "name" not in item or "kind" not in item:
-            fail(f"registry[{i}] must be an object with name and kind")
-            continue
-        label, command = f"registry[{i}]", item.get("command")
-        entry = RegistryEntry(
-            name=_expect_str(item["name"], f"{label}.name", fail),
-            kind=_expect_str(item["kind"], f"{label}.kind", fail),
-            priority=_expect_int(item.get("priority", 0), f"{label}.priority", fail),
-            backend=_expect_str(item.get("backend", "mock"), f"{label}.backend", fail),
-            command=command if command is None else _expect_str(command, f"{label}.command", fail),
-        )
-        try:
-            modality_for_kind(entry.kind)
-        except InvariantViolation:
-            fail(f"{label}.kind {entry.kind!r} is not a known generator kind")
-        if entry.backend not in ("mock", "command"):
-            fail(f"{label}.backend must be mock or command")
-        if entry.backend == "command":
-            if not entry.command:
-                fail(f"{label} uses the command backend but has no command")
-            else:
+            fail(f"{label} must be an object with name and kind")
+        elif (entry := _read_section(RegistryEntry, item, label, fail)) is not None:
+            if entry.backend == "command":
                 entry.command = str(base / entry.command)
-        entries.append(entry)
+            entries.append(entry)
 
-    language_backend = _expect_str(
-        doc.get("language_backend", "scripted"), "language_backend", fail
-    )
-    if language_backend not in ("scripted", "external"):
-        fail("language_backend must be scripted or external")
-    rules = _expect_str(doc.get("backend_rules", "rules.json"), "backend_rules", fail)
-    backend_rules = base / rules
+    raw = {**TRAIN_DEFAULTS, **top("train", "dict", {})}
+    d_enc = _parse_enc_dims(raw["d_enc"], "train.d_enc", fail)
+    train = _read_section(TrainConfig, raw, "train", fail, d_enc=d_enc)
 
-    train = _parse_train(doc.get("train", {}), "train", fail)
-    pipeline = _parse_pipeline(doc.get("pipeline", {}), seed, fail)
-    instruct = _parse_instruct(doc.get("instruct", {}), base, fail)
+    raw = top("pipeline", "dict", {})
+    # only d_enc, d_llm and rank are read; the seed is the top-level one
+    given = vars(default_pipeline_config()) | {"seed": seed}
+    if "d_enc" in raw:
+        given["d_enc"] = _parse_enc_dims(raw["d_enc"], "pipeline.d_enc", fail)
+    read = {key: raw[key] for key in ("d_llm", "rank") if key in raw}
+    pipeline = _read_section(TrainConfig, read, "pipeline", fail, **given)
 
-    chat_cfg: ChatClientConfig | None = None
-    raw_chat = doc.get("chat")
-    if raw_chat is not None:
-        if not isinstance(raw_chat, dict):
-            fail("chat must be an object or null")
-        else:
-            fixture = raw_chat.get("fixture_path")
-            if fixture is not None:
-                fixture = _expect_str(fixture, "chat.fixture_path", fail)
-            chat_cfg = ChatClientConfig(
-                endpoint=_expect_str(raw_chat.get("endpoint", ""), "chat.endpoint", fail),
-                model=_expect_str(raw_chat.get("model", "default"), "chat.model", fail),
-                auth_env=_expect_str(
-                    raw_chat.get("auth_env", "MODALKIT_API_TOKEN"), "chat.auth_env", fail
-                ),
-                timeout=_expect_float(raw_chat.get("timeout", 30.0), "chat.timeout", fail),
-                max_retries=_expect_int(raw_chat.get("max_retries", 3), "chat.max_retries", fail),
-                backoff_base=_expect_float(
-                    raw_chat.get("backoff_base", 0.5), "chat.backoff_base", fail
-                ),
-                mode=_expect_str(raw_chat.get("mode", "replay"), "chat.mode", fail),
-                fixture_path=str(base / fixture) if fixture else None,
-            )
-            try:
-                chat_cfg.validate()
-            except ConfigError as exc:
-                fail(str(exc))
+    instruct = _parse_instruct(top("instruct", "dict", {}), base, fail)
+
+    chat_cfg = None
+    raw = doc.get("chat")
+    if raw is not None and not isinstance(raw, dict):
+        fail("chat must be an object or null")
+    elif raw is not None:
+        chat_cfg = _read_section(ChatClientConfig, raw, "chat", fail)
+        if chat_cfg is not None and chat_cfg.fixture_path:
+            chat_cfg.fixture_path = str(base / chat_cfg.fixture_path)
 
     if problems:
         raise ConfigError(f"config {cfg_path} is invalid:\n  " + "\n  ".join(problems))
@@ -178,128 +164,150 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
     )
 
 
-def _expect_int(value, label: str, fail) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        fail(f"{label} must be an integer, got {value!r}")
-        return 0
-    return value
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
-def _expect_float(value, label: str, fail) -> float:
-    """A JSON number in the float range: bools, numeric strings, NaN and infinities fail."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        abs(value) <= sys.float_info.max
-    ):
-        fail(f"{label} must be a finite number, got {value!r}")
-        return 0.0
-    return float(value)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _expect_bool(value, label: str, fail) -> bool:
-    if not isinstance(value, bool):
-        fail(f"{label} must be true or false, got {value!r}")
-        return False
-    return value
+# Each type the reader knows: the test a JSON value must pass and the
+# wording of the problem when it does not.  Floats accept JSON integers
+# but not bools, numeric strings, NaN or the infinities.
+_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (
+        lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+        "a finite number",
+    ),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+}
 
 
-def _expect_str(value, label: str, fail) -> str:
-    if not isinstance(value, str):
-        fail(f"{label} must be a string, got {value!r}")
-        return ""
-    return value
+def _check(value, kind: str, label: str, fail) -> bool:
+    test, wording = _KINDS[kind]
+    if test(value):
+        return True
+    fail(f"{label} must be {wording}, got {value!r}")
+    return False
+
+
+def _read_section(cls, raw: dict, label: str, fail, **given):
+    """An instance of the dataclass cls from the JSON object raw that its
+    own validate(), if it has one, accepts; None after a reported problem.
+
+    A field whose declared type _KINDS knows is checked and taken from
+    raw when raw names it; any other field comes from given, else keeps
+    the default its dataclass declares."""
+    values, ok = dict(given), True
+    for f in fields(cls):
+        if f.name in raw and f.type in _KINDS:
+            value = raw[f.name]
+            if _check(value, f.type, f"{label}.{f.name}", fail):
+                values[f.name] = float(value) if f.type == "float" else value
+            else:
+                ok = False
+    if not ok:
+        return None
+    section = cls(**values)
+    try:
+        if hasattr(section, "validate"):
+            section.validate()
+    except ModalkitError as exc:
+        fail(f"{label}: {exc}")
+        return None
+    return section
 
 
 def _parse_enc_dims(raw, label: str, fail) -> dict[Modality, int]:
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        return uniform_enc_dims(raw)
+    """One dim for every modality, or an object with one per modality.
+    After a reported problem, dims of 1, so the rest still validates."""
     if isinstance(raw, dict):
-        dims = {}
-        for m in GENERATABLE_MODALITIES:
-            dims[m] = _expect_int(raw.get(m.value, 0), f"{label}.{m.value}", fail)
-        return dims
-    fail(f"{label} must be an integer or an object keyed by modality")
+        dims = {m: raw.get(m.value, 0) for m in GENERATABLE_MODALITIES}
+        if all([_check(dim, "int", f"{label}.{m.value}", fail) for m, dim in dims.items()]):
+            return dims
+    elif _is_int(raw):
+        return uniform_enc_dims(raw)
+    else:
+        fail(f"{label} must be an integer or an object keyed by modality")
     return uniform_enc_dims(1)
 
 
-def _parse_train(raw, label: str, fail) -> TrainConfig:
-    if not isinstance(raw, dict):
-        fail(f"{label} must be an object")
-        raw = {}
-    cfg = TrainConfig(
-        d_enc=_parse_enc_dims(raw.get("d_enc", 1024), f"{label}.d_enc", fail),
-        d_llm=_expect_int(raw.get("d_llm", 4096), f"{label}.d_llm", fail),
-        token_count=_expect_int(raw.get("token_count", 1), f"{label}.token_count", fail),
-        bias=_expect_bool(raw.get("bias", False), f"{label}.bias", fail),
-        rank=_expect_int(raw.get("rank", 32), f"{label}.rank", fail),
-        alpha=_expect_float(raw.get("alpha", 16.0), f"{label}.alpha", fail),
-        learning_rate=_expect_float(raw.get("learning_rate", 0.05), f"{label}.learning_rate", fail),
-        steps=_expect_int(raw.get("steps", 200), f"{label}.steps", fail),
-        seed=_expect_int(raw.get("seed", 0), f"{label}.seed", fail),
-        loss=_expect_str(raw.get("loss", "mse"), f"{label}.loss", fail),
-    )
-    try:
-        cfg.validate()
-    except Exception as exc:  # collect, do not abort: report all problems at once
-        fail(f"{label}: {exc}")
-    return cfg
-
-
-def _parse_pipeline(raw, seed: int, fail) -> TrainConfig:
-    if not isinstance(raw, dict):
-        fail("pipeline must be an object")
-        raw = {}
-    cfg = default_pipeline_config()
-    if "d_enc" in raw:
-        cfg.d_enc = _parse_enc_dims(raw["d_enc"], "pipeline.d_enc", fail)
-    cfg.d_llm = _expect_int(raw.get("d_llm", cfg.d_llm), "pipeline.d_llm", fail)
-    cfg.rank = _expect_int(raw.get("rank", cfg.rank), "pipeline.rank", fail)
-    cfg.seed = seed
-    try:
-        cfg.validate()
-    except Exception as exc:
-        fail(f"pipeline: {exc}")
-    return cfg
-
-
-def _parse_instruct(raw, base: Path, fail) -> InstructSettings:
-    if not isinstance(raw, dict):
-        fail("instruct must be an object")
-        raw = {}
-    mix_raw = raw.get("type_mix", {t.value: w for t, w in DEFAULT_TYPE_MIX.items()})
+def _parse_instruct(raw: dict, base: Path, fail) -> InstructSettings | None:
+    """The file names default to the bundled ones, resolved against base."""
     mix: dict[InstructionType, float] = {}
-    if not isinstance(mix_raw, dict):
-        fail("instruct.type_mix must be an object")
-    else:
-        for key, weight in mix_raw.items():
-            try:
-                kind = InstructionType(key)
-            except ValueError:
-                fail(f"instruct.type_mix has a bad entry: {key!r}: {weight!r}")
-                continue
-            mix[kind] = _expect_float(weight, f"instruct.type_mix.{key}", fail)
-    candidates_raw = raw.get("candidates", {})
-    candidate_paths = {}
-    if not isinstance(candidates_raw, dict):
+    mix_raw = raw.get("type_mix", {})
+    if not _check(mix_raw, "dict", "instruct.type_mix", fail):
+        mix_raw = {}
+    for key, weight in mix_raw.items():
+        try:
+            kind = InstructionType(key)
+        except ValueError:
+            fail(f"instruct.type_mix has a bad entry: {key!r}: {weight!r}")
+            continue
+        if _check(weight, "float", f"instruct.type_mix.{key}", fail):
+            mix[kind] = float(weight)
+
+    def path(value, label: str) -> Path | None:
+        return base / value if _check(value, "str", label, fail) else None
+
+    candidates = raw.get("candidates", {})
+    if not isinstance(candidates, dict):
         fail("instruct.candidates must be an object keyed by modality")
-        candidates_raw = {}
-    for m in GENERATABLE_MODALITIES:
-        name = candidates_raw.get(m.value, f"candidates_{m.value}.txt")
-        candidate_paths[m] = base / _expect_str(name, f"instruct.candidates.{m.value}", fail)
-    return InstructSettings(
+        candidates = {}
+    names = {
+        m: candidates.get(m.value, f"candidates_{m.value}.txt") for m in GENERATABLE_MODALITIES
+    }
+    return _read_section(
+        InstructSettings,
+        raw,
+        "instruct",
+        fail,
         type_mix=mix or dict(DEFAULT_TYPE_MIX),
-        seeds_path=base / _expect_str(raw.get("seeds", "seeds.jsonl"), "instruct.seeds", fail),
-        candidate_paths=candidate_paths,
-        references_path=base / _expect_str(
-            raw.get("references", "references.txt"), "instruct.references", fail
-        ),
-        seeds_per_query=_expect_int(raw.get("seeds_per_query", 3), "instruct.seeds_per_query", fail),
-        candidates_per_query=_expect_int(
-            raw.get("candidates_per_query", 4), "instruct.candidates_per_query", fail
-        ),
-        references_per_query=_expect_int(
-            raw.get("references_per_query", 3), "instruct.references_per_query", fail
-        ),
+        seeds_path=path(raw.get("seeds", "seeds.jsonl"), "instruct.seeds"),
+        candidate_paths={m: path(n, f"instruct.candidates.{m.value}") for m, n in names.items()},
+        references_path=path(raw.get("references", "references.txt"), "instruct.references"),
     )
+
+
+def load_scripted_rules(path: str | Path) -> ScriptedBackend:
+    """The scripted backend of a {"rules": [ScriptedRule objects]} file;
+    every problem in it is reported in one ConfigError."""
+    doc = _read_json(Path(path), "rules")
+    if not isinstance(doc, dict) or not isinstance(doc.get("rules"), list):
+        raise ConfigError(f"rules file {path} must hold a rules list")
+    problems: list[str] = []
+    fail = problems.append
+    rules, known = [], [m.value for m in Modality]
+    for i, item in enumerate(doc["rules"]):
+        label = f"rules[{i}]"
+        if not isinstance(item, dict) or "respond" not in item:
+            fail(f"{label} must be an object with a respond field")
+            continue
+        modalities = item.get("attachment_modalities")
+        if isinstance(modalities, list) and all(m in known for m in modalities):
+            modalities = tuple(Modality(m) for m in modalities)
+        elif modalities is not None:
+            names = ", ".join(known)
+            fail(f"{label}.attachment_modalities must be a list of {names}, got {modalities!r}")
+        rule = _read_section(ScriptedRule, item, label, fail, attachment_modalities=modalities)
+        if rule is not None:
+            rules.append(rule)
+    if not problems:
+        try:
+            return ScriptedBackend(rules)
+        except ConfigError as exc:
+            fail(str(exc))
+    raise ConfigError(f"rules file {path} is invalid:\n  " + "\n  ".join(problems))
 
 
 # --- constructors over a loaded config ---------------------------------------
@@ -328,7 +336,8 @@ def build_language_backend(app: AppConfig, transport=None):
 
 def load_instruct_corpus(app: AppConfig):
     """Seeds, merged candidates, and references from the configured files;
-    a file that cannot be read or decoded is a ConfigError naming it."""
+    a file that cannot be read or decoded, or a seeds line that is not a
+    canonical pair, is a ConfigError naming the file."""
     path = app.instruct.seeds_path
     try:
         seeds = read_dataset(path, mode="strict")
@@ -340,4 +349,6 @@ def load_instruct_corpus(app: AppConfig):
         references = load_reference_lines(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except MalformedLine as exc:
+        raise ConfigError(f"seeds file {path}: {exc}") from None
     return seeds, candidates, references

@@ -102,33 +102,6 @@ class ExternalBackend:
         return chat.complete(self._transport, self._cfg, prompt)
 
 
-def load_scripted_rules(path: str | Path) -> ScriptedBackend:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read rules {path}: {exc}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("rules"), list):
-        raise ConfigError(f"rules file {path} must hold a rules list")
-    rules = []
-    for i, item in enumerate(doc["rules"]):
-        if not isinstance(item, dict) or "respond" not in item:
-            raise ConfigError(f"rule {i} must be an object with a respond field")
-        modalities = item.get("attachment_modalities")
-        if modalities is not None:
-            try:
-                modalities = tuple(Modality(m) for m in modalities)
-            except ValueError as exc:
-                raise ConfigError(f"rule {i}: {exc}") from None
-        rules.append(
-            ScriptedRule(
-                respond=str(item["respond"]),
-                instruction_contains=item.get("instruction_contains"),
-                attachment_modalities=modalities,
-            )
-        )
-    return ScriptedBackend(rules)
-
-
 @dataclass
 class StageRecord:
     name: str
@@ -181,6 +154,8 @@ def _validate_request(req: UserRequest) -> None:
     for att in req.attachments:
         if not Path(att.path).exists():
             raise AttachmentMissing(att.path)
+        if not Path(att.path).is_file():
+            raise InvalidArgument(f"attachment {att.path} is not a regular file")
         if att.path.endswith(".mvec"):
             continue  # checked against the stored header at encode time
         inferred = modality_for_path(att.path)
@@ -194,16 +169,19 @@ def _validate_request(req: UserRequest) -> None:
 
 def _encode_attachment(att: Attachment, cfg: TrainConfig, seed: int) -> EmbeddingVector:
     want_dim = cfg.d_enc[att.modality]
-    if att.path.endswith(".mvec"):
+    try:
+        if not att.path.endswith(".mvec"):
+            return encode_stub(Path(att.path).read_bytes(), att.modality, want_dim, seed)
         vec = load_embedding(att.path)
-        if vec.modality is not att.modality:
-            raise ModalityMismatch(
-                f"{att.path}: stored modality {vec.modality.value}, request says {att.modality.value}"
-            )
-        if vec.dim != want_dim:
-            raise ShapeMismatch(f"{att.path}: stored dim {vec.dim}, config wants {want_dim}")
-        return vec
-    return encode_stub(Path(att.path).read_bytes(), att.modality, want_dim, seed)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot read attachment {att.path}: {exc}") from None
+    if vec.modality is not att.modality:
+        raise ModalityMismatch(
+            f"{att.path}: stored modality {vec.modality.value}, request says {att.modality.value}"
+        )
+    if vec.dim != want_dim:
+        raise ShapeMismatch(f"{att.path}: stored dim {vec.dim}, config wants {want_dim}")
+    return vec
 
 
 def describe_inputs(

@@ -245,6 +245,8 @@ class TrainConfig:
             raise InvalidArgument("learning_rate must be >= 0")
         if self.steps < 0:
             raise InvalidArgument("steps must be >= 0")
+        if self.seed < 0:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
         if self.loss != "mse":
             raise InvalidArgument(f"unsupported loss {self.loss!r}")
 
@@ -384,16 +386,20 @@ def gradient_check(
     return report
 
 
+def param_blocks(cfg: TrainConfig) -> dict[str, int]:
+    """Trainable scalars per block: one projection per modality, in name
+    order, each with its bias if any, then the LoRA adaptor pair."""
+    cfg.validate()
+    rows = cfg.token_count * cfg.d_llm
+    modalities = sorted(GENERATABLE_MODALITIES, key=lambda m: m.value)
+    blocks = {f"proj.{m.value}": rows * (cfg.d_enc[m] + int(cfg.bias)) for m in modalities}
+    blocks["lora"] = 2 * cfg.rank * cfg.d_llm
+    return blocks
+
+
 def param_count(cfg: TrainConfig) -> int:
     """Trainable scalars: three projections plus the adaptor pair."""
-    cfg.validate()
-    total = 0
-    for m in GENERATABLE_MODALITIES:
-        total += cfg.token_count * cfg.d_llm * cfg.d_enc[m]
-        if cfg.bias:
-            total += cfg.token_count * cfg.d_llm
-    total += 2 * cfg.rank * cfg.d_llm
-    return total
+    return sum(param_blocks(cfg).values())
 
 
 @dataclass

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import HOSTILE_JSON
+from modalkit import chat
 from modalkit.cli import main
 from modalkit.config import data_dir
 from modalkit.instruct import Candidate, template_generate, write_dataset
@@ -153,6 +154,62 @@ def test_generate_out_is_a_directory_exit_2(tmp_path, capsys):
     assert main(["generate-instructions", "--n", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: InvalidArgument: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
+def _count_replay_requests(monkeypatch) -> list:
+    sent = []
+    original = chat.ReplayTransport.send
+
+    def send(self, payload):
+        sent.append(payload)
+        return original(self, payload)
+
+    monkeypatch.setattr(chat.ReplayTransport, "send", send)
+    return sent
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_generate_llm_rejects_unwritable_out_before_any_request(
+    tmp_path, capsys, monkeypatch, where
+):
+    sent = _count_replay_requests(monkeypatch)
+    out = tmp_path / "taken"
+    if where == "directory":
+        out.mkdir()
+    else:
+        out = out / "pairs.jsonl"
+    assert main(["generate-instructions", "--mode", "llm", "--n", "3", "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.startswith(f"error: InvalidArgument: cannot write {out}: ")
+    assert err.count("\n") == 1 and out_text == ""
+    assert sent == []
+
+
+def test_generate_llm_failure_leaves_existing_out_untouched(tmp_path, capsys):
+    fixture = tmp_path / "empty_fixture.json"
+    fixture.write_text(json.dumps({"version": 1, "responses": {}}))
+    config = _bundled_config_copy(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["chat"]["fixture_path"] = fixture.name
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "pairs.jsonl"
+    out.write_text("keep me\n")
+    argv = ["generate-instructions", "--config", str(config), "--mode", "llm", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: FixtureMiss: ")
+    assert out.read_text() == "keep me\n"
+
+
+def test_generate_bad_seeds_line_names_the_seeds_file(tmp_path, capsys):
+    config = _bundled_config_copy(tmp_path)
+    seeds = tmp_path / "seeds.jsonl"
+    lineno = len(seeds.read_text().splitlines()) + 1
+    seeds.write_text(seeds.read_text() + "{broken\n")
+    code = main(["generate-instructions", "--config", str(config), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: ConfigError: seeds file {seeds}: line {lineno}: not valid JSON")
     assert err.count("\n") == 1
 
 
@@ -355,6 +412,33 @@ def test_run_workspace_is_a_file_exit_2(tmp_path, capsys):
     assert ws.read_text() == "x"
 
 
+def test_run_directory_attachment_exit_2_before_workspace(tmp_path, capsys):
+    folder = tmp_path / "dir.wav"
+    folder.mkdir()
+    ws = tmp_path / "ws"
+    argv = ["run", "--instruction", "Go.", "--attach", str(folder), "--workspace", str(ws)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: InvalidArgument: attachment {folder} is not a regular file\n"
+    assert not ws.exists()
+
+
+def test_run_unreadable_attachment_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    wav = tmp_path / "cat.wav"
+    wav.write_bytes(render_placeholder("text-to-audio", "a cat meowing", 0))
+
+    def refuse(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    ws = tmp_path / "ws"
+    argv = ["run", "--instruction", "Go.", "--attach", str(wav), "--workspace", str(ws)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidArgument: cannot read attachment {wav}: ")
+    assert err.count("\n") == 1
+
+
 def test_run_degraded_exit_1(tmp_path, capsys):
     rules = {
         "rules": [
@@ -404,11 +488,48 @@ def test_gradcheck_zero_trials_exit_2(capsys):
     assert "error: InvalidArgument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, argv, fragment",
+    [
+        (
+            {"seed": -1},
+            ["run", "--instruction", "Go.", "--workspace", "ws"],
+            "pipeline: seed must be >= 0, got -1",
+        ),
+        (
+            {"instruct": {"seeds_per_query": -1}},
+            ["generate-instructions", "--mode", "llm", "--out", "pairs.jsonl"],
+            "instruct: seeds_per_query must be >= 0, got -1",
+        ),
+        (None, ["gradcheck", "--seed", "-1"], "InvalidArgument: --seed must be >= 0, got -1"),
+        (None, ["gradcheck", "--epsilon", "0"], "--epsilon must be a finite number > 0, got 0.0"),
+        (None, ["gradcheck", "--epsilon", "nan"], "--epsilon must be a finite number > 0, got nan"),
+    ],
+)
+def test_out_of_range_numbers_exit_2(tmp_path, capsys, monkeypatch, overrides, argv, fragment):
+    monkeypatch.chdir(tmp_path)
+    if overrides is not None:
+        config = _bundled_config_copy(tmp_path)
+        doc = json.loads(config.read_text())
+        for key, value in overrides.items():
+            doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+        config.write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert fragment in err and "Traceback" not in err
+
+
 def test_params_default_budget(capsys):
     assert main(["params"]) == 0
-    out = capsys.readouterr().out
-    assert "total 12845056 (12,845,056)" in out
-    assert "lora 262144" in out
+    assert capsys.readouterr().out == (
+        "proj.audio 4194304\n"
+        "proj.image 4194304\n"
+        "proj.video 4194304\n"
+        "lora 262144\n"
+        "total 12845056 (12,845,056)\n"
+    )
 
 
 def test_params_toy_config(tmp_path, capsys):

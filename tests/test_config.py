@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,10 @@ from modalkit.config import (
     data_dir,
     load_app_config,
     load_instruct_corpus,
+    load_scripted_rules,
 )
 from modalkit.errors import ConfigError
+from modalkit.instruct import InstructionType
 from modalkit.meta import GENERATABLE_MODALITIES, Modality
 
 
@@ -219,3 +222,94 @@ def test_typed_fields_accept_json_numbers_and_bools(tmp_path):
     assert app.train.alpha == 8.0 and isinstance(app.train.alpha, float)
     assert app.train.learning_rate == 0.5 and app.train.bias is True
     assert app.chat.timeout == 5.0 and app.chat.backoff_base == 0.0
+
+
+def test_minimal_config_yields_todays_defaults(tmp_path):
+    path = write_config(tmp_path, minimal_doc())
+    app = load_app_config(path)
+    assert (app.seed, app.workspace, app.language_backend) == (0, Path("runs"), "scripted")
+    assert app.chat is None
+    assert asdict(app.train) == {
+        "d_enc": {m: 1024 for m in GENERATABLE_MODALITIES},
+        "d_llm": 4096,
+        "token_count": 1,
+        "bias": False,
+        "rank": 32,
+        "alpha": 16.0,
+        "learning_rate": 0.05,
+        "steps": 200,
+        "seed": 0,
+        "loss": "mse",
+    }
+    pipeline_dims = {"d_enc": {m: 64 for m in GENERATABLE_MODALITIES}, "d_llm": 128, "rank": 4}
+    assert asdict(app.pipeline) == {**asdict(app.train), **pipeline_dims, "steps": 100}
+    assert asdict(app.instruct) == {
+        "type_mix": {
+            InstructionType.INPUT_ALIGN: 0.4,
+            InstructionType.OUTPUT_ALIGN: 0.4,
+            InstructionType.REASONING: 0.2,
+        },
+        "seeds_path": tmp_path / "seeds.jsonl",
+        "candidate_paths": {
+            m: tmp_path / f"candidates_{m.value}.txt" for m in GENERATABLE_MODALITIES
+        },
+        "references_path": tmp_path / "references.txt",
+        "seeds_per_query": 3,
+        "candidates_per_query": 4,
+        "references_per_query": 3,
+    }
+    # a chat section that names only its fixture keeps every other default
+    app = load_app_config(write_config(tmp_path, minimal_doc(chat={"fixture_path": "fx.json"})))
+    assert asdict(app.chat) == {
+        "endpoint": "",
+        "model": "default",
+        "auth_env": "MODALKIT_API_TOKEN",
+        "timeout": 30.0,
+        "max_retries": 3,
+        "backoff_base": 0.5,
+        "mode": "replay",
+        "fixture_path": str(tmp_path / "fx.json"),
+    }
+
+
+@pytest.mark.parametrize(
+    "rule, fragment",
+    [
+        (
+            {"respond": "x", "instruction_contains": 5},
+            "rules[0].instruction_contains must be a string, got 5",
+        ),
+        (
+            {"respond": "x", "attachment_modalities": 5},
+            "rules[0].attachment_modalities must be a list of text, image, audio, video, got 5",
+        ),
+        ({"respond": {"a": 1}}, "rules[0].respond must be a string, got {'a': 1}"),
+        (
+            {"respond": "x", "attachment_modalities": "image"},
+            "rules[0].attachment_modalities must be a list of text, image, audio, video, got 'image'",
+        ),
+    ],
+)
+def test_rule_file_defects_are_one_config_error(tmp_path, capsys, rule, fragment):
+    rules = {"rules": [rule, {"respond": '{"text":"ok","invocations":[]}'}]}
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    path = write_config(tmp_path, minimal_doc())
+    ws = tmp_path / "ws"
+    argv = ["run", "--config", str(path), "--instruction", "Go.", "--workspace", str(ws)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and err.count("error:") == 1
+    assert fragment in err and "Traceback" not in err
+    assert not ws.exists()
+
+
+def test_rule_file_reports_every_problem(tmp_path):
+    rules = {
+        "rules": [{"respond": 1}, {"instruction_contains": "x"}, {"respond": "x", "instruction_contains": 2}]
+    }
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    with pytest.raises(ConfigError) as excinfo:
+        load_scripted_rules(tmp_path / "rules.json")
+    message = str(excinfo.value)
+    for fragment in ("rules[0].respond", "rules[1] must be", "rules[2].instruction_contains"):
+        assert fragment in message, fragment

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import over_hostile_json
 from modalkit import chat, pipeline
+from modalkit.config import load_scripted_rules
 from modalkit.errors import (
     AttachmentMissing,
     ConfigError,
@@ -29,7 +30,6 @@ from modalkit.pipeline import (
     StageRecord,
     UserRequest,
     describe_inputs,
-    load_scripted_rules,
     run,
 )
 from modalkit.projection import (
