@@ -19,7 +19,7 @@ from modalkit.media import _render_audio, render_placeholder
 from modalkit.meta import Modality
 from modalkit.pipeline import ScriptedBackend, ScriptedRule, UserRequest, run
 from modalkit.projection import encode_stub
-from modalkit.rng import SplitMix64
+from modalkit.rng import SplitMix64, fnv1a64
 from modalkit.zoo import default_registry
 
 MAX_SEED = 2**64 - 1
@@ -153,7 +153,43 @@ def test_encode_stub_golden(dim, modality, data, seed, digest):
     assert sha(vec.values.astype("<f8").tobytes()) == digest
 
 
-MANIFEST_SHA = "c079e2de2962a8165e222454e641493e06f0c7fe3ffa80326e5d53a825ced1ec"
+# Inputs long enough for the chunked numpy hash: each side of the
+# short-input cutoff (4 KiB) and of a chunk boundary (64 KiB), and one
+# past a MiB.  Data is SplitMix64(seed).bytes(n).
+# (seed, n, fnv1a64, modality, stub seed, SHA-256 of encode_stub at dim 64)
+LONG_GOLDEN = [
+    (1, 4095, 0xB83B6D018CC3A4A7, Modality.IMAGE, 0, "33969b22e56edb726f7693bea8b037455a990cff6c454c2b32ffd3d050fcbfde"),
+    (MAX_SEED, 4096, 0xE71C8B44C06D0CE0, Modality.AUDIO, MAX_SEED, "44ad3133f67608411f8a6ee334f6cc8badd1860af27299c792566fe292544f36"),
+    (2, 65535, 0x2BB4A9CCA20F510A, Modality.VIDEO, 0, "278425a2e9895b642bd870f0e68c23c1aef83f0efb429f36749c29961ca49d97"),
+    (12345678901234, 65536, 0x290EECC596C6212D, Modality.IMAGE, MAX_SEED, "1b65ab1b6540e6b162cb0b62a596bd1a890553382f7de38fad4f16e82a087a64"),
+    (3, 65537, 0x064D4F6155B75A1D, Modality.AUDIO, 0, "d2ccb9a7750522d3c9edb1323f6cbe84c2016f4f846c94e9b6ea1cb53647001b"),
+    (7, 2**20 + 3, 0x9652F1B83B5EB68D, Modality.VIDEO, MAX_SEED, "946e25d37715cc467385f1913f7af4b24372621911c3ba555a87e52948d5be3f"),
+]
+
+
+@pytest.mark.parametrize("seed,n,fnv,modality,stub_seed,digest", LONG_GOLDEN)
+def test_long_input_hash_and_stub_golden(seed, n, fnv, modality, stub_seed, digest):
+    data = SplitMix64(seed).bytes(n)
+    assert fnv1a64(data) == fnv
+    vec = encode_stub(data, modality, 64, stub_seed)
+    assert sha(vec.values.astype("<f8").tobytes()) == digest
+
+
+# 70,000 copies of one byte: a constant input keeps the low state byte
+# on a short cycle, which random data does not.
+UNIFORM_FNV_GOLDEN = [
+    (0x00, 0x5B7351AD0F814FE5),
+    (0xFF, 0x27475F6090816E75),
+    (0x80, 0x0446D258D11663E5),
+]
+
+
+@pytest.mark.parametrize("byte,fnv", UNIFORM_FNV_GOLDEN)
+def test_uniform_input_hash_golden(byte, fnv):
+    assert fnv1a64(bytes([byte]) * 70_000) == fnv
+
+
+MANIFEST_SHA ="c079e2de2962a8165e222454e641493e06f0c7fe3ffa80326e5d53a825ced1ec"
 TRACE_SHA = "57039d8c85dcd53a50738203151020357c3960577534a9b954174a1bb21f4dd2"  # timings off
 ARTIFACT_SHA = "86f23b0a14b818dd4f7fe181de7a6d6f8866a801daf9dfa494b944866cef74a7"
 

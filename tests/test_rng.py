@@ -27,6 +27,15 @@ def test_fnv_matches_reference(data):
     assert fnv1a64(data) == oracle_fnv1a64(data)
 
 
+@given(st.integers(min_value=0, max_value=200_000), st.integers(min_value=0, max_value=2**64 - 1))
+@settings(max_examples=40, deadline=None)
+def test_fnv_matches_reference_long(n, seed):
+    # Drawing (n, seed) keeps generation cheap at lengths that reach the
+    # numpy path and cross several chunk boundaries.
+    data = SplitMix64(seed).bytes(n)
+    assert fnv1a64(data) == oracle_fnv1a64(data)
+
+
 def test_content_hash_layout():
     # kind and prompt are joined with a NUL, so the pair is unambiguous
     assert content_hash("text-to-image", "cat") == oracle_fnv1a64(b"text-to-image\x00cat")
