@@ -9,6 +9,22 @@ seed + k*gamma mod 2^64 after k draws, so SplitMix64.bytes and
 unit_floats compute a whole block of draws as one numpy uint64
 expression.  The block equals k scalar next_u64 calls byte for byte,
 and the stream continues exactly where those calls would leave it.
+
+fnv1a64 hashes inputs of 4 KiB or more in numpy and returns exactly the
+value of the byte loop.  One step is h' = (h ^ b) * P mod 2^64.  That
+map is a T-function (Klimov & Shamir, "A New Class of Invertible
+Mappings", CHES 2002): bit k of h' depends only on bits 0..k of h and b.
+So the low byte L of the state evolves on its own, and bit k of the next
+L is bit k of L, xor bit k of b, xor bit k of ((L ^ b) mod 2^k) * P.
+With bits 0..k-1 known at every position, bit k over the whole input is
+one running xor, so eight passes give L everywhere.  The running xor
+packs the bits into uint64 words, takes the prefix inside each word with
+shifts of 1, 2, 4, 8, 16 and 32, and carries across words with one
+accumulate.  With L known, h ^ b = h + d for d = (L ^ b) - L, so after m
+bytes h = h0 * P^m + sum of d_i * P^(m-i) mod 2^64: one wrapping uint64
+dot product against a table of powers of P.  The input goes through in
+64 KiB chunks, carrying h, so temporaries stay under 1 MiB.  Shorter
+inputs stay on the loop, which is faster below a few KiB.
 """
 
 from __future__ import annotations
@@ -20,14 +36,62 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _SM_GAMMA = 0x9E3779B97F4A7C15
 
+_FNV_CHUNK = 1 << 16
+_FNV_VECTOR_MIN = 1 << 12
+_FNV_POWERS = np.full(_FNV_CHUNK, _FNV_PRIME, dtype=np.uint64)
+np.multiply.accumulate(_FNV_POWERS, out=_FNV_POWERS)  # P^1 .. P^CHUNK, wrapping
+
 
 def fnv1a64(data: bytes) -> int:
     """FNV-1a over raw bytes, 64-bit variant."""
+    if len(data) >= _FNV_VECTOR_MIN:
+        buf = np.frombuffer(data, dtype=np.uint8)
+        h = _FNV_OFFSET
+        for start in range(0, buf.size, _FNV_CHUNK):
+            h = _fnv_chunk(h, buf[start : start + _FNV_CHUNK])
+        return h
     h = _FNV_OFFSET
     for b in data:
         h ^= b
         h = (h * _FNV_PRIME) & _MASK
     return h
+
+
+def _fnv_chunk(h: int, data: np.ndarray) -> int:
+    """The FNV-1a state after data, starting from h; see the module docstring."""
+    m = data.size
+    low = np.zeros(m + 1, dtype=np.uint8)  # L before each byte, then after the last
+    low[0] = h & 0xFF
+    state = low[:-1]
+    for k in range(8):
+        bit = 1 << k
+        flips = state ^ data
+        flips &= bit - 1
+        flips *= _FNV_PRIME & 0xFF
+        flips ^= data
+        flips &= bit
+        flips[0] ^= low[0] & bit  # start the running xor from L's bit k
+        run = _xor_scan(flips)
+        run *= bit
+        low[1:] |= run
+    d = (state ^ data).astype(np.uint64)
+    d -= state  # wraps mod 2^64 where L ^ b < L
+    powers = _FNV_POWERS[m - 1 :: -1]  # P^m .. P^1
+    return (h * int(powers[0]) + int(d @ powers)) & _MASK
+
+
+def _xor_scan(flags: np.ndarray) -> np.ndarray:
+    """Running xor of a uint8 array read as bits (nonzero is 1), as 0/1 uint8."""
+    n = flags.size
+    words = np.zeros(-(-n // 64), dtype="<u8")
+    packed = np.packbits(flags, bitorder="little")
+    words.view(np.uint8)[: packed.size] = packed
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << np.uint64(shift)
+    # bit 63 now holds each word's parity; flip every word after an odd total
+    carry = np.bitwise_xor.accumulate(words[:-1] >> np.uint64(63))
+    words[1:] ^= np.negative(carry)
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
 
 
 def content_hash(kind: str, prompt: str) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +35,20 @@ def test_fnv_matches_reference_long(n, seed):
     # numpy path and cross several chunk boundaries.
     data = SplitMix64(seed).bytes(n)
     assert fnv1a64(data) == oracle_fnv1a64(data)
+
+
+def test_fnv_long_input_memory_is_bounded():
+    # numpy reports its buffers to tracemalloc.  Hashing in 64 KiB chunks
+    # keeps the temporaries under 1 MiB; one pass over the whole MiB
+    # would hold about 30.
+    data = SplitMix64(1).bytes(1 << 20)
+    tracemalloc.start()
+    try:
+        fnv1a64(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_content_hash_layout():
