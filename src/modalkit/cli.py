@@ -247,8 +247,9 @@ def cmd_gradcheck(args) -> int:
         raise InvalidArgument(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise InvalidArgument(f"--seed must be >= 0, got {args.seed}")
-    if not 0 < args.epsilon < float("inf"):
-        raise InvalidArgument(f"--epsilon must be a finite number > 0, got {args.epsilon}")
+    for flag, value in (("--epsilon", args.epsilon), ("--threshold", args.threshold)):
+        if not 0 < value < float("inf"):
+            raise InvalidArgument(f"{flag} must be a finite number > 0, got {value}")
     tamper = 1e-3 if args.perturb_gradients else 0.0
     worst = 0.0
     for trial in range(args.trials):

@@ -342,12 +342,19 @@ def build_bundle(
     references: list[str],
     target_type: InstructionType,
     seed: int,
-    seeds_per_query: int = 3,
-    candidates_per_query: int = 4,
-    references_per_query: int = 3,
+    seeds_per_query: int,
+    candidates_per_query: int,
+    references_per_query: int,
 ) -> QueryBundle:
     if not seeds or not candidates:
         raise EmptyBundle("need at least one seed and one candidate")
+    for name, count in (
+        ("seeds_per_query", seeds_per_query),
+        ("candidates_per_query", candidates_per_query),
+        ("references_per_query", references_per_query),
+    ):
+        if count < 0:
+            raise InvalidArgument(f"{name} must be >= 0, got {count}")
     rng = random.Random(seed)
 
     def sample(pool, k):

@@ -504,6 +504,10 @@ def test_gradcheck_zero_trials_exit_2(capsys):
         (None, ["gradcheck", "--seed", "-1"], "InvalidArgument: --seed must be >= 0, got -1"),
         (None, ["gradcheck", "--epsilon", "0"], "--epsilon must be a finite number > 0, got 0.0"),
         (None, ["gradcheck", "--epsilon", "nan"], "--epsilon must be a finite number > 0, got nan"),
+        (None, ["gradcheck", "--threshold", "nan"], "--threshold must be a finite number > 0, got nan"),
+        (None, ["gradcheck", "--threshold", "inf"], "--threshold must be a finite number > 0, got inf"),
+        (None, ["gradcheck", "--threshold", "0"], "--threshold must be a finite number > 0, got 0.0"),
+        (None, ["gradcheck", "--threshold", "-1"], "--threshold must be a finite number > 0, got -1.0"),
     ],
 )
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, monkeypatch, overrides, argv, fragment):

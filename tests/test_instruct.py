@@ -391,11 +391,11 @@ def test_build_bundle_samples_deterministically():
     seeds = [caption_pair(f"s{i}") for i in range(6)]
     candidates = [Candidate(f"thing {i}", Modality.IMAGE) for i in range(9)]
     references = [f"A photo of thing {i}" for i in range(5)]
-    first = build_bundle(seeds, candidates, references, InstructionType.OUTPUT_ALIGN, seed=4)
-    second = build_bundle(seeds, candidates, references, InstructionType.OUTPUT_ALIGN, seed=4)
+    first = build_bundle(seeds, candidates, references, InstructionType.OUTPUT_ALIGN, 4, 3, 4, 3)
+    second = build_bundle(seeds, candidates, references, InstructionType.OUTPUT_ALIGN, 4, 3, 4, 3)
     assert first == second
     assert len(first.seeds) == 3 and len(first.candidates) == 4 and len(first.references) == 3
-    shifted = build_bundle(seeds, candidates, references, InstructionType.OUTPUT_ALIGN, seed=5)
+    shifted = build_bundle(seeds, candidates, references, InstructionType.OUTPUT_ALIGN, 5, 3, 4, 3)
     assert shifted != first
 
 
@@ -405,11 +405,22 @@ def test_build_bundle_caps_at_pool_size():
         [Candidate("one thing", Modality.IMAGE)],
         [],
         InstructionType.INPUT_ALIGN,
-        seed=0,
+        0,
+        3,
+        4,
+        3,
     )
     assert len(bundle.seeds) == 1 and len(bundle.candidates) == 1 and bundle.references == ()
     with pytest.raises(EmptyBundle):
-        build_bundle([], [], [], InstructionType.INPUT_ALIGN, seed=0)
+        build_bundle([], [], [], InstructionType.INPUT_ALIGN, 0, 3, 4, 3)
+
+
+@pytest.mark.parametrize("counts", [(-1, 4, 3), (3, -1, 3), (3, 4, -1)])
+def test_build_bundle_rejects_negative_counts(counts):
+    seeds = [caption_pair()]
+    candidates = [Candidate("one thing", Modality.IMAGE)]
+    with pytest.raises(InvalidArgument, match="must be >= 0, got -1"):
+        build_bundle(seeds, candidates, ["A thing"], InstructionType.OUTPUT_ALIGN, 0, *counts)
 
 
 # --- template generator ---------------------------------------------------------------
