@@ -44,16 +44,15 @@ np.multiply.accumulate(_FNV_POWERS, out=_FNV_POWERS)  # P^1 .. P^CHUNK, wrapping
 
 def fnv1a64(data: bytes) -> int:
     """FNV-1a over raw bytes, 64-bit variant."""
-    if len(data) >= _FNV_VECTOR_MIN:
-        buf = np.frombuffer(data, dtype=np.uint8)
-        h = _FNV_OFFSET
-        for start in range(0, buf.size, _FNV_CHUNK):
-            h = _fnv_chunk(h, buf[start : start + _FNV_CHUNK])
-        return h
     h = _FNV_OFFSET
-    for b in data:
-        h ^= b
-        h = (h * _FNV_PRIME) & _MASK
+    if len(data) < _FNV_VECTOR_MIN:
+        for b in data:
+            h ^= b
+            h = (h * _FNV_PRIME) & _MASK
+        return h
+    buf = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, buf.size, _FNV_CHUNK):
+        h = _fnv_chunk(h, buf[start : start + _FNV_CHUNK])
     return h
 
 
