@@ -175,8 +175,8 @@ def test_long_input_hash_and_stub_golden(seed, n, fnv, modality, stub_seed, dige
     assert sha(vec.values.astype("<f8").tobytes()) == digest
 
 
-# 70,000 copies of one byte: a constant input keeps the low state byte
-# on a short cycle, which random data does not.
+# 70,000 copies of one byte: the extreme byte values, repeated across a
+# chunk boundary, which seeded random data does not give.
 UNIFORM_FNV_GOLDEN = [
     (0x00, 0x5B7351AD0F814FE5),
     (0xFF, 0x27475F6090816E75),
@@ -189,7 +189,7 @@ def test_uniform_input_hash_golden(byte, fnv):
     assert fnv1a64(bytes([byte]) * 70_000) == fnv
 
 
-MANIFEST_SHA ="c079e2de2962a8165e222454e641493e06f0c7fe3ffa80326e5d53a825ced1ec"
+MANIFEST_SHA = "c079e2de2962a8165e222454e641493e06f0c7fe3ffa80326e5d53a825ced1ec"
 TRACE_SHA = "57039d8c85dcd53a50738203151020357c3960577534a9b954174a1bb21f4dd2"  # timings off
 ARTIFACT_SHA = "86f23b0a14b818dd4f7fe181de7a6d6f8866a801daf9dfa494b944866cef74a7"
 
