@@ -24,7 +24,8 @@ BODIES_PER_TARGET = 3
 PAIRS_PER_BODY = 5
 
 
-def main() -> int:
+def build_responses() -> dict[str, list[str]]:
+    """The fixture's responses table: request fingerprint -> bodies."""
     app = load_app_config(None)
     seeds, candidates, references = load_instruct_corpus(app)
     responses: dict[str, list[str]] = {}
@@ -51,6 +52,11 @@ def main() -> int:
             )
             bodies.append("\n".join(pair_to_json(p) for p in pairs))
         responses[fp] = bodies
+    return responses
+
+
+def main() -> int:
+    responses = build_responses()
     out = data_dir() / "chat_fixture.json"
     save_fixture(responses, out)
     print(f"wrote {out} ({len(responses)} request keys)")

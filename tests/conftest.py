@@ -7,6 +7,7 @@ two independent routes to the same answer.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -38,6 +39,19 @@ def oracle_splitmix64_stream(seed: int, count: int) -> list[int]:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
         out.append(z ^ (z >> 31))
     return out
+
+
+def reference_pair_json(pair) -> str:
+    """The canonical dataset line, through the json module's own encoder."""
+    payload = {
+        "id": pair.id,
+        "type": pair.type.value,
+        "instruction": pair.instruction,
+        "attachments": [{"path": a.path, "modality": a.modality.value} for a in pair.attachments],
+        "invocations": [{"model": v.model, "prompt": v.prompt} for v in pair.invocations],
+        "response_text": pair.response_text,
+    }
+    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
 
 
 # --- random meta-response generation (plain random, used by fuzz tests) --

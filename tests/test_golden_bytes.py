@@ -10,11 +10,21 @@ across versions, not only from one rerun to the next.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import struct
+from pathlib import Path
 
 import pytest
 
-from modalkit.instruct import Attachment
+from modalkit.chat import load_fixture
+from modalkit.config import data_dir, load_app_config, load_instruct_corpus
+from modalkit.instruct import (
+    Attachment,
+    Candidate,
+    InstructionType,
+    template_generate,
+    write_dataset,
+)
 from modalkit.media import _render_audio, render_placeholder
 from modalkit.meta import Modality
 from modalkit.pipeline import ScriptedBackend, ScriptedRule, UserRequest, run
@@ -48,7 +58,14 @@ RENDER_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("kind,prompt,seed,digest", RENDER_GOLDEN)
+PROMPT_IDS = {CAT: "cat", UNICODE: "unicode", AT_CAP: "at_cap"}
+
+
+@pytest.mark.parametrize(
+    "kind,prompt,seed,digest",
+    RENDER_GOLDEN,
+    ids=[f"{kind}-{PROMPT_IDS[prompt]}-{seed}" for kind, prompt, seed, _ in RENDER_GOLDEN],
+)
 def test_render_placeholder_golden(kind, prompt, seed, digest):
     assert sha(render_placeholder(kind, prompt, seed)) == digest
 
@@ -147,7 +164,15 @@ STUB_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("dim,modality,data,seed,digest", STUB_GOLDEN)
+def _stub_id(row) -> str:
+    dim, modality, data, seed, _ = row
+    name = "ramp" if data is RAMP else "wav"
+    return f"{dim}-{modality.value}-{name}-{'max' if seed == MAX_SEED else seed}"
+
+
+@pytest.mark.parametrize(
+    "dim,modality,data,seed,digest", STUB_GOLDEN, ids=[_stub_id(row) for row in STUB_GOLDEN]
+)
 def test_encode_stub_golden(dim, modality, data, seed, digest):
     vec = encode_stub(data, modality, dim, seed)
     assert sha(vec.values.astype("<f8").tobytes()) == digest
@@ -217,3 +242,61 @@ def test_cat_scenario_manifest_and_trace_golden(tmp_path, monkeypatch):
     assert sha((ws / "manifest.json").read_bytes()) == MANIFEST_SHA
     assert sha((ws / "trace.json").read_bytes()) == TRACE_SHA
     assert sha((ws / "artifact_0_text-to-image.ppm").read_bytes()) == ARTIFACT_SHA
+
+
+# Template datasets: write_dataset(template_generate(candidates, mix, seed,
+# n, id_prefix)) over the bundled candidates, computed with the per-pair
+# template expander and a json.dumps line per pair.  The default row is the
+# file the benchmark's dataset_generate workload writes.
+# (mix, seed, n, id_prefix) -> SHA-256 of the JSONL file
+INPUT, OUTPUT, REASONING = InstructionType
+DATASET_GOLDEN = {
+    "default-mix": (None, 0, 10_000, "tpl", "59ea39e33263dd76542e033e8d6c2b63f55d1f86fdf9834a99d1914386770428"),
+    "output-align-only": ({OUTPUT: 1}, 1, 2_000, "tpl", "9cc0219ac596860ac703e6acf272c031887f66c5661eff2f52431eaf719e9196"),
+    "reasoning-only": ({REASONING: 1}, 2, 2_000, "tpl", "9d5420e56fabbf47712fb07bcb8c4fc34a02305ab04e4740019380248532dd56"),
+    "skewed": ({INPUT: 0.05, OUTPUT: 3, REASONING: 0.5}, 3, 3_000, "tpl", "f9bb612148d8a67cd48c6b785d061bca051c1560584fd2321042d41ba2fdd78c"),
+    "one-pair": (None, 4, 1, "tpl", "44293c428fb2dc13fa6f46dd4599beb7b6df36c35a5de472ca84e5e616eb057a"),
+    "id-prefix": (None, 5, 500, "run-ü/7", "154c7c8c5bf796837dff85d3f1ac0022ee484a647fae56b1c2d0c5df899b8dea"),
+}
+
+
+@pytest.mark.parametrize(
+    "mix,seed,n,id_prefix,digest", list(DATASET_GOLDEN.values()), ids=list(DATASET_GOLDEN)
+)
+def test_template_dataset_golden(tmp_path, mix, seed, n, id_prefix, digest):
+    _, candidates, _ = load_instruct_corpus(load_app_config(None))
+    path = tmp_path / "pairs.jsonl"
+    assert write_dataset(template_generate(candidates, mix, seed, n, id_prefix), path) == n
+    assert sha(path.read_bytes()) == digest
+
+
+# Descriptions the bundled files do not hold: JSON escapes, non-ASCII text,
+# a description that slugs to nothing, and one candidate drawn many times.
+ODD_CANDIDATES = [
+    Candidate('a "quoted" back\\slash', Modality.IMAGE),
+    Candidate("ünïcødé 猫 🐱\u2028", Modality.AUDIO),
+    Candidate("!!!", Modality.VIDEO),
+    Candidate("tab\there", Modality.AUDIO),
+]
+ODD_DATASET_SHA = "6dc9acf07f39e84830c747f5db91aec363f953cdfe476b3b24f87098f9102ea3"
+
+
+def test_template_dataset_odd_candidates_golden(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    write_dataset(template_generate(ODD_CANDIDATES, seed=11, n=400), path)
+    assert sha(path.read_bytes()) == ODD_DATASET_SHA
+
+
+def _load_fixture_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_chat_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_chat_fixture", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bundled_chat_fixture_matches_its_builder():
+    # The bundled replay bodies are template pairs of single-type mixes
+    # with their own id prefixes, so this also pins those paths.
+    bundled = load_fixture(data_dir() / "chat_fixture.json")
+    assert _load_fixture_script().build_responses() == bundled

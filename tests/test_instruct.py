@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import over_hostile_json
+from conftest import over_hostile_json, reference_pair_json
 from modalkit import chat
 from modalkit.errors import (
     EmptyBundle,
@@ -262,6 +263,205 @@ def test_pair_from_json_reports_reason(line, fragment):
         pair_from_json(line, lineno=7)
     assert excinfo.value.lineno == 7
     assert fragment in excinfo.value.reason
+
+
+# Characters the JSON encoder escapes or passes through specially: quotes,
+# backslashes, control characters, the JavaScript line separators, astral
+# characters and lone surrogates.
+_ODD_CHARS = st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x08", "\n", "\x1f", "\x7f", "\u2028", "\u2029", "\U0001f431"]
+    + ["\ud800", "\udfff", "é"]
+)
+_st_odd_text = st.text(alphabet=st.one_of(st.characters(), _ODD_CHARS), max_size=12)
+
+
+@given(
+    st.builds(
+        InstructionPair,
+        id=_st_odd_text,
+        type=st.sampled_from(list(InstructionType)),
+        instruction=_st_odd_text,
+        attachments=st.lists(
+            st.builds(Attachment, _st_odd_text, st.sampled_from(list(Modality))), max_size=3
+        ).map(tuple),
+        invocations=st.lists(st.builds(Invocation, _st_odd_text, _st_odd_text), max_size=3).map(
+            tuple
+        ),
+        response_text=st.one_of(st.none(), _st_odd_text),
+    )
+)
+@settings(max_examples=300)
+def test_pair_to_json_matches_json_dumps(pair):
+    assert pair_to_json(pair) == reference_pair_json(pair)
+
+
+def _edited(edit, ensure_ascii: bool = True) -> str:
+    """CAT_PAIR's canonical line after edit(obj) changes the decoded object."""
+    obj = json.loads(pair_to_json(CAT_PAIR))
+    edit(obj)
+    return json.dumps(obj, ensure_ascii=ensure_ascii)
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(obj):
+        for step in path:
+            obj = obj[step]
+        obj[key] = value
+
+    return edit
+
+
+def _drop(*path_and_key):
+    *path, key = path_and_key
+
+    def edit(obj):
+        for step in path:
+            obj = obj[step]
+        del obj[key]
+
+    return edit
+
+
+def _both(first, second):
+    def edit(obj):
+        first(obj)
+        second(obj)
+
+    return edit
+
+
+KEYS_REASON = (
+    "keys must be exactly "
+    "['attachments', 'id', 'instruction', 'invocations', 'response_text', 'type']"
+)
+ATTACHMENT_REASON = "attachment must be an object with path and modality"
+INVOCATION_REASON = "invocation must be an object with model and prompt"
+
+# name -> (line, the exact MalformedLine reason, or the pair an accepted line decodes to)
+PAIR_FROM_JSON_OUTCOMES = {
+    "canonical": (pair_to_json(CAT_PAIR), CAT_PAIR),
+    "type_list": (_edited(_set("type", [])), "unknown pair type []"),
+    "type_object": (_edited(_set("type", {})), "unknown pair type {}"),
+    "type_null": (_edited(_set("type", None)), "unknown pair type None"),
+    "type_true": (_edited(_set("type", True)), "unknown pair type True"),
+    "type_int": (_edited(_set("type", 1)), "unknown pair type 1"),
+    "type_wrong_case": (_edited(_set("type", "Output_Align")), "unknown pair type 'Output_Align'"),
+    "modality_list": (_edited(_set("attachments", 0, "modality", [])), "unknown modality []"),
+    "modality_null": (_edited(_set("attachments", 0, "modality", None)), "unknown modality None"),
+    "missing_key": (_edited(_drop("response_text")), KEYS_REASON),
+    "extra_key": (_edited(_set("extra", 1)), KEYS_REASON),
+    "attachment_missing_key": (_edited(_drop("attachments", 0, "modality")), ATTACHMENT_REASON),
+    "attachment_extra_key": (_edited(_set("attachments", 0, "size", 3)), ATTACHMENT_REASON),
+    "invocation_missing_key": (_edited(_drop("invocations", 0, "prompt")), INVOCATION_REASON),
+    "invocation_extra_key": (_edited(_set("invocations", 0, "seed", 3)), INVOCATION_REASON),
+    "attachments_object": (
+        _edited(_set("attachments", {"path": "a.png"})),
+        "attachments must be a list",
+    ),
+    "attachments_null": (_edited(_set("attachments", None)), "attachments must be a list"),
+    "invocations_string": (
+        _edited(_set("invocations", "text-to-image")),
+        "invocations must be a list",
+    ),
+    "attachment_int": (_edited(_set("attachments", [5])), ATTACHMENT_REASON),
+    "attachment_list": (_edited(_set("attachments", [["a.png", "image"]])), ATTACHMENT_REASON),
+    "invocation_string": (_edited(_set("invocations", ["text-to-image"])), INVOCATION_REASON),
+    "model_int": (
+        _edited(_set("invocations", 0, "model", 5)),
+        "invocation model 5 is not text-to-<modality>",
+    ),
+    "model_null": (
+        _edited(_set("invocations", 0, "model", None)),
+        "invocation model None is not text-to-<modality>",
+    ),
+    "prompt_empty": (
+        _edited(_set("invocations", 0, "prompt", "")),
+        "invocation prompt must be a nonempty string",
+    ),
+    "prompt_int": (
+        _edited(_set("invocations", 0, "prompt", 3)),
+        "invocation prompt must be a nonempty string",
+    ),
+    "response_text_int": (
+        _edited(_set("response_text", 5)),
+        "response_text must be a string or null",
+    ),
+    "response_text_list": (
+        _edited(_set("response_text", ["x"])),
+        "response_text must be a string or null",
+    ),
+    "id_int": (_edited(_set("id", 5)), "id must be a nonempty string"),
+    "id_empty": (_edited(_set("id", "")), "id must be a nonempty string"),
+    "instruction_null": (_edited(_set("instruction", None)), "instruction must be a string"),
+    "path_int": (_edited(_set("attachments", 0, "path", 7)), "attachment path must be a string"),
+    "surrogate_id": (_edited(_set("id", "x\ud800")), "id holds an unpaired surrogate"),
+    "surrogate_instruction": (
+        _edited(_set("instruction", "\udfff")),
+        "instruction holds an unpaired surrogate",
+    ),
+    "surrogate_path": (
+        _edited(_set("attachments", 0, "path", "a\ud800.wav")),
+        "attachment path holds an unpaired surrogate",
+    ),
+    "surrogate_response_text": (
+        _edited(_set("response_text", "\ud800")),
+        "response_text holds an unpaired surrogate",
+    ),
+    "surrogate_prompt": (
+        _edited(_set("invocations", 0, "prompt", "\ud800")),
+        dataclasses.replace(CAT_PAIR, invocations=(Invocation("text-to-image", "\ud800"),)),
+    ),
+    "raw_surrogate_id": (
+        _edited(_set("id", "\ud800"), ensure_ascii=False),
+        "id holds an unpaired surrogate",
+    ),
+    "top_level_array": ("[" + pair_to_json(CAT_PAIR) + "]", "line is not a JSON object"),
+    "top_level_string": ('"pair"', "line is not a JSON object"),
+    "top_level_null": ("null", "line is not a JSON object"),
+    # the checks run in a fixed order; the first failing one is reported
+    "keys_before_type": (
+        _edited(_both(_set("type", []), _drop("id"))),
+        KEYS_REASON,
+    ),
+    "type_before_id": (_edited(_both(_set("type", []), _set("id", 5))), "unknown pair type []"),
+    "id_before_attachments": (
+        _edited(_both(_set("id", ""), _set("attachments", None))),
+        "id must be a nonempty string",
+    ),
+    "attachments_before_invocations": (
+        _edited(_both(_set("attachments", [5]), _set("invocations", None))),
+        ATTACHMENT_REASON,
+    ),
+    "modality_before_path": (
+        _edited(
+            _both(_set("attachments", 0, "modality", "smell"), _set("attachments", 0, "path", 7))
+        ),
+        "unknown modality 'smell'",
+    ),
+    "invocations_before_response_text": (
+        _edited(_both(_set("invocations", 0, "prompt", ""), _set("response_text", 5))),
+        "invocation prompt must be a nonempty string",
+    ),
+    "response_text_before_surrogates": (
+        _edited(_both(_set("id", "\ud800"), _set("response_text", 5))),
+        "response_text must be a string or null",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "line,outcome", list(PAIR_FROM_JSON_OUTCOMES.values()), ids=list(PAIR_FROM_JSON_OUTCOMES)
+)
+def test_pair_from_json_outcome_table(line, outcome):
+    if isinstance(outcome, InstructionPair):
+        assert pair_from_json(line, lineno=3) == outcome
+        return
+    with pytest.raises(MalformedLine) as excinfo:
+        pair_from_json(line, lineno=3)
+    assert excinfo.value.lineno == 3
+    assert excinfo.value.reason == outcome
 
 
 @over_hostile_json("line")
