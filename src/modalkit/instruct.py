@@ -12,7 +12,9 @@ validate_pair against the default registry.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -132,19 +134,48 @@ def _path_ok(path: str) -> bool:
 # --- JSONL dataset -----------------------------------------------------------
 
 
+_quote = json.encoder.encode_basestring  # the function json.dumps(ensure_ascii=False) uses
+
+
 def pair_to_json(pair: InstructionPair) -> str:
-    payload = {
-        "id": pair.id,
-        "type": pair.type.value,
-        "instruction": pair.instruction,
-        "attachments": [{"path": a.path, "modality": a.modality.value} for a in pair.attachments],
-        "invocations": [{"model": v.model, "prompt": v.prompt} for v in pair.invocations],
-        "response_text": pair.response_text,
-    }
-    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
+    """The canonical one-line JSON form, byte-identical to
+    json.dumps(payload, separators=(",", ":"), ensure_ascii=False).
+    A text field that is not a string is an InvalidArgument."""
+    try:
+        attachments = ",".join(
+            [f'{{"path":{_quote(a.path)},"modality":"{a.modality.value}"}}' for a in pair.attachments]
+        )
+        invocations = ",".join(
+            [f'{{"model":{_quote(v.model)},"prompt":{_quote(v.prompt)}}}' for v in pair.invocations]
+        )
+        response_text = "null" if pair.response_text is None else _quote(pair.response_text)
+        return (
+            f'{{"id":{_quote(pair.id)},"type":"{pair.type.value}",'
+            f'"instruction":{_quote(pair.instruction)},"attachments":[{attachments}],'
+            f'"invocations":[{invocations}],"response_text":{response_text}}}'
+        )
+    except TypeError:
+        texts = [("id", pair.id), ("instruction", pair.instruction)]
+        texts += [("attachment path", a.path) for a in pair.attachments]
+        for v in pair.invocations:
+            texts += [("invocation model", v.model), ("invocation prompt", v.prompt)]
+        texts.append(("response_text", "" if pair.response_text is None else pair.response_text))
+        for label, text in texts:
+            if not isinstance(text, str):
+                raise InvalidArgument(
+                    f"pair {pair.id!r}: {label} must be a string, not {type(text).__name__}"
+                ) from None
+        raise
 
 
 _PAIR_KEYS = {"id", "type", "instruction", "attachments", "invocations", "response_text"}
+_ATTACHMENT_KEYS = {"path", "modality"}
+_INVOCATION_KEYS = {"model", "prompt"}
+_TYPES = {t.value: t for t in InstructionType}
+_MODALITIES = {m.value: m for m in Modality}
+
+# json.loads yields exact dict, list and str objects, so the checks below
+# compare types with `is`.
 
 
 def pair_from_json(line: str, lineno: int = 0) -> InstructionPair:
@@ -152,63 +183,58 @@ def pair_from_json(line: str, lineno: int = 0) -> InstructionPair:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the stack
         raise MalformedLine(lineno, f"not valid JSON: {getattr(exc, 'msg', exc)}") from None
-    if not isinstance(obj, dict):
+    if type(obj) is not dict:
         raise MalformedLine(lineno, "line is not a JSON object")
-    if set(obj.keys()) != _PAIR_KEYS:
+    if obj.keys() != _PAIR_KEYS:
         raise MalformedLine(lineno, f"keys must be exactly {sorted(_PAIR_KEYS)}")
-    try:
-        pair_type = InstructionType(obj["type"])
-    except ValueError:
-        raise MalformedLine(lineno, f"unknown pair type {obj['type']!r}") from None
-    if not isinstance(obj["id"], str) or not obj["id"]:
+    pair_id, raw_type, instruction = obj["id"], obj["type"], obj["instruction"]
+    pair_type = _TYPES.get(raw_type) if type(raw_type) is str else None
+    if pair_type is None:
+        raise MalformedLine(lineno, f"unknown pair type {raw_type!r}")
+    if type(pair_id) is not str or not pair_id:
         raise MalformedLine(lineno, "id must be a nonempty string")
-    if not isinstance(obj["instruction"], str):
+    if type(instruction) is not str:
         raise MalformedLine(lineno, "instruction must be a string")
     attachments = []
     for item in _expect_list(obj, "attachments", lineno):
-        if not isinstance(item, dict) or set(item.keys()) != {"path", "modality"}:
+        if type(item) is not dict or item.keys() != _ATTACHMENT_KEYS:
             raise MalformedLine(lineno, "attachment must be an object with path and modality")
-        try:
-            modality = Modality(item["modality"])
-        except ValueError:
-            raise MalformedLine(lineno, f"unknown modality {item['modality']!r}") from None
-        if not isinstance(item["path"], str):
+        path, raw_modality = item["path"], item["modality"]
+        modality = _MODALITIES.get(raw_modality) if type(raw_modality) is str else None
+        if modality is None:
+            raise MalformedLine(lineno, f"unknown modality {raw_modality!r}")
+        if type(path) is not str:
             raise MalformedLine(lineno, "attachment path must be a string")
-        attachments.append(Attachment(item["path"], modality))
+        attachments.append(Attachment(path, modality))
     invocations = []
     for item in _expect_list(obj, "invocations", lineno):
-        if not isinstance(item, dict) or set(item.keys()) != {"model", "prompt"}:
+        if type(item) is not dict or item.keys() != _INVOCATION_KEYS:
             raise MalformedLine(lineno, "invocation must be an object with model and prompt")
         model, prompt = item["model"], item["prompt"]
-        if not isinstance(model, str) or not MODEL_KIND_RE.fullmatch(model):
+        if type(model) is not str or not MODEL_KIND_RE.fullmatch(model):
             raise MalformedLine(lineno, f"invocation model {model!r} is not text-to-<modality>")
-        if not isinstance(prompt, str) or not prompt:
+        if type(prompt) is not str or not prompt:
             raise MalformedLine(lineno, "invocation prompt must be a nonempty string")
         invocations.append(Invocation(model, prompt))
     response_text = obj["response_text"]
-    if response_text is not None and not isinstance(response_text, str):
+    if response_text is not None and type(response_text) is not str:
         raise MalformedLine(lineno, "response_text must be a string or null")
     # Decoding yields a surrogate only from a \u escape or a non-ASCII line.
     # Prompts are left to validate_pair, which reports UnpairedSurrogate.
     if not line.isascii() or "\\u" in line:
-        texts = [("id", obj["id"]), ("instruction", obj["instruction"])]
+        texts = [("id", pair_id), ("instruction", instruction)]
         texts += [("attachment path", a.path) for a in attachments]
         for label, text in texts + [("response_text", response_text or "")]:
             if has_lone_surrogate(text):
                 raise MalformedLine(lineno, f"{label} holds an unpaired surrogate")
     return InstructionPair(
-        obj["id"],
-        pair_type,
-        obj["instruction"],
-        tuple(attachments),
-        tuple(invocations),
-        response_text,
+        pair_id, pair_type, instruction, tuple(attachments), tuple(invocations), response_text
     )
 
 
 def _expect_list(obj: dict, key: str, lineno: int) -> list:
     value = obj[key]
-    if not isinstance(value, list):
+    if type(value) is not list:
         raise MalformedLine(lineno, f"{key} must be a list")
     return value
 
@@ -266,14 +292,19 @@ def _read_string_list(s: str, start: int, lineno: int) -> list[str]:
 
 
 def write_dataset(pairs: list[InstructionPair], path: str | Path) -> int:
+    """Write one canonical line per pair; a pair that cannot be encoded
+    leaves no file behind."""
     seen: set[str] = set()
     for pair in pairs:
         if pair.id in seen:
             raise InvalidArgument(f"duplicate pair id {pair.id!r}")
         seen.add(pair.id)
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(pair_to_json(pair) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pair_to_json(pair) + "\n" for pair in pairs)
+    except InvalidArgument:
+        os.remove(path)
+        raise
     return len(pairs)
 
 
@@ -472,6 +503,30 @@ def _article(word: str) -> str:
     return "an" if word[0] in "aeiou" else "a"
 
 
+def _expand(cand: Candidate):
+    """Everything the templates make of one candidate: its attachment
+    tuple, then the caption, the reasoning and the output-align options,
+    each option an (instruction, invocations, response) triple.  There is
+    one reasoning option per question and one output-align option per
+    generatable modality other than the candidate's own."""
+    modality, desc = cand.modality, cand.description
+    m = modality.value
+    path = f"{_slug(desc)}.{_SYNTHETIC_EXT[modality]}"
+    caption = (f"Describe the given {m}.", (), f"The {m} {_CAPTION_VERBS[modality]} {desc}.")
+    answer = f"Judging by the {m}, it involves {desc}."
+    questions = tuple((q.format(modality=m), (), answer) for q in _REASONING_TEMPLATES)
+    generations = tuple(
+        (
+            f"Generate {_article(t.value)} {t.value} based on the provided {m}.",
+            (Invocation(kind_for_modality(t), _PROMPT_STYLES[t].format(desc=desc)),),
+            f"Here is {_article(t.value)} {t.value} matching your {m}.",
+        )
+        for t in GENERATABLE_MODALITIES
+        if t is not modality
+    )
+    return (Attachment(path, modality),), caption, questions, generations
+
+
 def template_generate(
     candidates: list[Candidate],
     type_mix: dict[InstructionType, float] | None = None,
@@ -480,7 +535,11 @@ def template_generate(
     id_prefix: str = "tpl",
 ) -> list[InstructionPair]:
     """Offline generator: expand candidate descriptions through fixed
-    templates, drawing pair types from the normalized mix."""
+    templates, drawing pair types from the normalized mix.
+
+    Each pair draws its type, its candidate, then a reasoning question or
+    an output modality.  A candidate is expanded on its first draw, and
+    its pairs share the expansion's strings and tuples."""
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
     mix = dict(DEFAULT_TYPE_MIX if type_mix is None else type_mix)
@@ -492,52 +551,29 @@ def template_generate(
     if not candidates:
         raise InsufficientCandidates("template generation needs candidate descriptions")
     rng = random.Random(seed)
+    types = list(InstructionType)
+    cum_weights = list(itertools.accumulate(weights))
+    slots = range(len(candidates))
+    expansions: dict[int, tuple] = {}
     pairs: list[InstructionPair] = []
     for i in range(n):
-        pair_type = rng.choices(list(InstructionType), weights=weights)[0]
-        cand = rng.choice(candidates)
-        pair_id = f"{id_prefix}-{i:06d}"
-        path = f"{_slug(cand.description)}.{_SYNTHETIC_EXT[cand.modality]}"
-        attachment = Attachment(path, cand.modality)
+        pair_type = rng.choices(types, cum_weights=cum_weights)[0]
+        k = rng.choice(slots)
+        expansion = expansions.get(k)
+        if expansion is None:
+            expansion = expansions[k] = _expand(candidates[k])
+        attachments, caption, questions, generations = expansion
         if pair_type is InstructionType.INPUT_ALIGN:
-            pairs.append(
-                InstructionPair(
-                    pair_id,
-                    pair_type,
-                    f"Describe the given {cand.modality.value}.",
-                    (attachment,),
-                    (),
-                    f"The {cand.modality.value} {_CAPTION_VERBS[cand.modality]} {cand.description}.",
-                )
-            )
+            instruction, invocations, response = caption
         elif pair_type is InstructionType.REASONING:
-            template = rng.choice(_REASONING_TEMPLATES)
-            pairs.append(
-                InstructionPair(
-                    pair_id,
-                    pair_type,
-                    template.format(modality=cand.modality.value),
-                    (attachment,),
-                    (),
-                    f"Judging by the {cand.modality.value}, it involves {cand.description}.",
-                )
-            )
+            instruction, invocations, response = rng.choice(questions)
         else:
-            targets = [m for m in GENERATABLE_MODALITIES if m is not cand.modality]
-            target = rng.choice(targets)
-            prompt = _PROMPT_STYLES[target].format(desc=cand.description)
-            pairs.append(
-                InstructionPair(
-                    pair_id,
-                    pair_type,
-                    f"Generate {_article(target.value)} {target.value} based on "
-                    f"the provided {cand.modality.value}.",
-                    (attachment,),
-                    (Invocation(kind_for_modality(target), prompt),),
-                    f"Here is {_article(target.value)} {target.value} matching your "
-                    f"{cand.modality.value}.",
-                )
+            instruction, invocations, response = rng.choice(generations)
+        pairs.append(
+            InstructionPair(
+                f"{id_prefix}-{i:06d}", pair_type, instruction, attachments, invocations, response
             )
+        )
     return pairs
 
 

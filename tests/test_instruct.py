@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +219,44 @@ def test_empty_dataset_round_trip(tmp_path):
 def test_write_rejects_duplicate_ids(tmp_path):
     with pytest.raises(InvalidArgument):
         write_dataset([caption_pair("same"), caption_pair("same")], tmp_path / "x.jsonl")
+
+
+# A text field that json.dumps would write as a number, a list or null makes
+# a line that read_dataset rejects, so writing such a pair is refused.
+NON_STRING_TEXT = {
+    "id": (dataclasses.replace(caption_pair(), id=5), "pair 5: id must be a string, not int"),
+    "instruction": (
+        dataclasses.replace(caption_pair(), instruction=None),
+        "pair 'p1': instruction must be a string, not NoneType",
+    ),
+    "attachment_path": (
+        dataclasses.replace(caption_pair(), attachments=(Attachment(7, Modality.IMAGE),)),
+        "pair 'p1': attachment path must be a string, not int",
+    ),
+    "invocation_model": (
+        dataclasses.replace(CAT_PAIR, invocations=(Invocation(["text-to-image"], "a cat"),)),
+        "pair 'seed-0001': invocation model must be a string, not list",
+    ),
+    "invocation_prompt": (
+        dataclasses.replace(CAT_PAIR, invocations=(Invocation("text-to-image", b"a cat"),)),
+        "pair 'seed-0001': invocation prompt must be a string, not bytes",
+    ),
+    "response_text": (
+        dataclasses.replace(caption_pair(), response_text=5),
+        "pair 'p1': response_text must be a string, not int",
+    ),
+}
+
+
+@pytest.mark.parametrize("pair,message", list(NON_STRING_TEXT.values()), ids=list(NON_STRING_TEXT))
+def test_write_rejects_non_string_text_and_leaves_no_file(tmp_path, pair, message):
+    with pytest.raises(InvalidArgument) as excinfo:
+        pair_to_json(pair)
+    assert str(excinfo.value) == message
+    path = tmp_path / "x.jsonl"
+    with pytest.raises(InvalidArgument, match=re.escape(message)):
+        write_dataset([caption_pair("first"), pair, caption_pair("last")], path)
+    assert not path.exists()
 
 
 def test_pair_json_is_single_canonical_line():
@@ -691,6 +730,34 @@ def test_template_pairs_all_validate():
             source = pair.attachments[0].modality
             target = pair.invocations[0].model.split("-")[-1]
             assert target != source.value
+
+
+class _IndexCounter(list):
+    """A candidate list that counts reads by index."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = collections.Counter()
+
+    def __getitem__(self, index):
+        self.reads[index] += 1
+        return super().__getitem__(index)
+
+
+def test_template_expands_each_drawn_candidate_once():
+    few = _IndexCounter(
+        [Candidate(f"thing {i}", m) for i, m in enumerate([Modality.IMAGE, Modality.AUDIO] * 2)]
+    )
+    pairs = template_generate(few, seed=4, n=2_000)
+    assert sorted(few.reads) == [0, 1, 2, 3]
+    assert set(few.reads.values()) == {1}
+    by_path = {}
+    for pair in pairs:
+        assert by_path.setdefault(pair.attachments[0].path, pair.attachments) is pair.attachments
+    # A huge list costs only the candidates a small n draws.
+    many = _IndexCounter([Candidate(f"thing {i}", Modality.VIDEO) for i in range(100_000)])
+    assert len(template_generate(many, seed=4, n=5)) == 5
+    assert sum(many.reads.values()) <= 5
 
 
 def test_template_type_mix_converges():
