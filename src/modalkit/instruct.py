@@ -143,7 +143,10 @@ def pair_to_json(pair: InstructionPair) -> str:
     A text field that is not a string is an InvalidArgument."""
     try:
         attachments = ",".join(
-            [f'{{"path":{_quote(a.path)},"modality":"{a.modality.value}"}}' for a in pair.attachments]
+            [
+                f'{{"path":{_quote(a.path)},"modality":"{a.modality.value}"}}'
+                for a in pair.attachments
+            ]
         )
         invocations = ",".join(
             [f'{{"model":{_quote(v.model)},"prompt":{_quote(v.prompt)}}}' for v in pair.invocations]
@@ -174,11 +177,11 @@ _INVOCATION_KEYS = {"model", "prompt"}
 _TYPES = {t.value: t for t in InstructionType}
 _MODALITIES = {m.value: m for m in Modality}
 
-# json.loads yields exact dict, list and str objects, so the checks below
-# compare types with `is`.
-
 
 def pair_from_json(line: str, lineno: int = 0) -> InstructionPair:
+    """Decode one canonical line, or raise MalformedLine with the first
+    problem found.  json.loads yields exact dict, list and str objects,
+    so the checks compare types with `is`."""
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the stack
@@ -302,7 +305,7 @@ def write_dataset(pairs: list[InstructionPair], path: str | Path) -> int:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(pair_to_json(pair) + "\n" for pair in pairs)
-    except InvalidArgument:
+    except (InvalidArgument, UnicodeEncodeError):  # UnicodeEncodeError: a lone surrogate
         os.remove(path)
         raise
     return len(pairs)
@@ -503,7 +506,7 @@ def _article(word: str) -> str:
     return "an" if word[0] in "aeiou" else "a"
 
 
-def _expand(cand: Candidate):
+def _expand(cand: Candidate) -> tuple:
     """Everything the templates make of one candidate: its attachment
     tuple, then the caption, the reasoning and the output-align options,
     each option an (instruction, invocations, response) triple.  There is

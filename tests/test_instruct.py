@@ -259,6 +259,14 @@ def test_write_rejects_non_string_text_and_leaves_no_file(tmp_path, pair, messag
     assert not path.exists()
 
 
+def test_write_lone_surrogate_leaves_no_file(tmp_path):
+    path = tmp_path / "x.jsonl"
+    bad = dataclasses.replace(caption_pair("bad"), response_text="\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        write_dataset([caption_pair("first"), bad], path)
+    assert not path.exists()
+
+
 def test_pair_json_is_single_canonical_line():
     line = pair_to_json(CAT_PAIR)
     assert "\n" not in line
