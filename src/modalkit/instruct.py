@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -306,7 +305,7 @@ def write_dataset(pairs: list[InstructionPair], path: str | Path) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             fh.writelines(pair_to_json(pair) + "\n" for pair in pairs)
     except (InvalidArgument, UnicodeEncodeError):  # UnicodeEncodeError: a lone surrogate
-        os.remove(path)
+        Path(path).unlink()
         raise
     return len(pairs)
 
