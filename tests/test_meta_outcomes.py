@@ -4,6 +4,9 @@ Each row is one input and what parse_meta_response makes of it: either
 the exception type, or the canonical serialization plus the exact
 (byte offset, warning) list.  Lenient warnings land in trace.json and
 validation messages in manifest.json, so their wording is pinned too.
+A property compares strict parsing, lenient parsing and serialization of
+generated objects with up to three faults against the frozen reader in
+meta_parser_reference.py.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import meta_parser_reference as reference
 from conftest import counting_registry
 from modalkit.errors import EmptyMeta, InvariantViolation, MalformedMeta, PromptTooLong
 from modalkit.meta import (
@@ -325,3 +330,94 @@ def test_validate_invocations_messages(invocations, registry, expected):
     reg = counting_registry()[0] if registry == "all" else _image_only_registry()
     meta = MetaResponse("", tuple(Invocation(m, p) for m, p in invocations))
     assert [str(i) for i in validate_invocations(meta, reg)] == expected
+
+
+# --- differential property against the frozen reader ----------------------------
+
+MISSING = object()  # the key is left out
+
+KINDS = ("text-to-image", "text-to-audio", "text-to-video")
+GOOD_TEXTS = ("t", "héllo €", "\U0001f600")
+GOOD_PROMPTS = ("p", "café", CAP_PROMPT, "€" * 682 + "aa")  # the last two are 2048 bytes
+FAULTS = {
+    "text": (MISSING, 5, None, [], "", LONE, "x\udc00y", "héllo €"),
+    "invocations": (MISSING, None, {"model": "text-to-image", "prompt": "p"}, "s", []),
+    "item": ("s", 3, None, [], ["text-to-image", "p"]),
+    # text-to-hologram is well formed but served by no backend
+    "model": (MISSING, 7, None, ["text-to-image"], "image", "Text-to-image", "text-to-hologram"),
+    "prompt": (MISSING, 3, None, "", CAP_PROMPT, LONG_PROMPT, LONG_EURO, "a" + LONE),
+}
+
+
+def _put(d: dict, key: str, value) -> None:
+    if value is MISSING:
+        d.pop(key, None)
+    else:
+        d[key] = value
+
+
+@st.composite
+def faulty_objects(draw) -> dict:
+    """A canonical object with 0-3 items, then 0-3 faults applied to it."""
+    items = [
+        {"model": draw(st.sampled_from(KINDS)), "prompt": draw(st.sampled_from(GOOD_PROMPTS))}
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    obj = {"text": draw(st.sampled_from(GOOD_TEXTS)), "invocations": items}
+    for fault in draw(st.lists(st.sampled_from([*FAULTS, "top key", "item key"]), max_size=3)):
+        if fault in ("text", "invocations"):
+            _put(obj, fault, draw(st.sampled_from(FAULTS[fault])))
+        elif fault == "top key":
+            obj[draw(st.sampled_from(["note", "extra"]))] = 1
+        elif isinstance(obj.get("invocations"), list) and obj["invocations"]:
+            i = draw(st.integers(0, len(obj["invocations"]) - 1))
+            item = obj["invocations"][i]
+            if fault == "item":
+                obj["invocations"][i] = draw(st.sampled_from(FAULTS["item"]))
+            elif fault == "item key" and isinstance(item, dict):
+                item["seed"] = 1
+            elif isinstance(item, dict):
+                _put(item, fault, draw(st.sampled_from(FAULTS[fault])))
+    return obj
+
+
+def _as_meta(obj: dict) -> MetaResponse:
+    """The in-memory object serialize_meta_response sees for obj: an item
+    with extra keys stays a plain dict with model and prompt, not an Invocation."""
+    items = obj.get("invocations")
+    return MetaResponse(
+        obj.get("text", ""),
+        tuple(
+            item
+            if not isinstance(item, dict)
+            else Invocation(item.get("model"), item.get("prompt"))
+            if item.keys() <= {"model", "prompt"}
+            else {"model": item.get("model"), "prompt": item.get("prompt")}
+            for item in (items if isinstance(items, list) else [])
+        ),
+    )
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type
+        return type(exc)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(faulty_objects())
+def test_object_reader_matches_frozen_reference(obj):
+    raw = json.dumps(obj)  # lone surrogates travel as \\udxxx escapes
+    decoded = json.loads(raw)
+    assert _result(parse_meta_response, raw, "lenient") == _result(
+        reference.parse_lenient_object, decoded
+    )
+    strict = _result(parse_meta_response, raw, "strict")
+    assert (strict[0] if isinstance(strict, tuple) else strict) == _result(
+        reference.from_object, decoded
+    )
+    meta = _as_meta(decoded)
+    assert _result(serialize_meta_response, meta) == _result(
+        reference.serialize_meta_response, meta
+    )
