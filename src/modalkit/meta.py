@@ -17,8 +17,10 @@ checked syntactically here (text-to-<word>); whether a kind is actually
 served is a registry question answered by validate_invocations.
 
 Each rule has one home here: check_prompt is the prompt rule that the
-parsers and both validators share, and the tuple-list grammar is a
-handful of regular patterns.  Its QUOTED and STRING_LIST patterns,
+parsers and validate_invocations share, _read_object is the one object
+reader behind strict parsing, lenient JSON-object recovery and
+serialize_meta_response, and the tuple-list grammar is a handful of
+regular patterns.  Its QUOTED and STRING_LIST patterns,
 unquote and scan_tuple_lists are public because the dataset reader
 recovers the same form from older lines.
 """
@@ -30,7 +32,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import EmptyMeta, InvariantViolation, MalformedMeta, PromptTooLong
+from .errors import EmptyMeta, InvariantViolation, MalformedMeta, MetaError, PromptTooLong
 
 PROMPT_BYTE_CAP = 2048
 
@@ -72,16 +74,6 @@ class Invocation:
     model: str
     prompt: str
 
-    def violations(self) -> list[str]:
-        out = []
-        if not isinstance(self.model, str) or not MODEL_KIND_RE.fullmatch(self.model):
-            out.append(f"model does not look like text-to-<modality>: {self.model!r}")
-        if not isinstance(self.prompt, str):
-            out.append("prompt is not a string")
-        elif (issue := check_prompt(self.prompt)) is not None:
-            out.append(issue.message)
-        return out
-
 
 @dataclass(frozen=True)
 class MetaResponse:
@@ -110,25 +102,19 @@ class ValidationIssue:
 
 
 def serialize_meta_response(meta: MetaResponse) -> str:
-    """Canonical single-line JSON; raises InvariantViolation on a bad object."""
-    problems = []
-    if not isinstance(meta.text, str):
-        problems.append("text is not a string")
-    elif has_lone_surrogate(meta.text):
-        problems.append("text holds an unpaired surrogate")
-    for i, inv in enumerate(meta.invocations):
-        if not isinstance(inv, Invocation):
-            problems.append(f"invocation {i} is not an Invocation")
-            continue
-        problems.extend(f"invocation {i}: {p}" for p in inv.violations())
-    if not problems and meta.text == "" and not meta.invocations:
-        problems.append("meta-response has no text and no invocations")
-    if problems:
-        raise InvariantViolation("; ".join(problems))
+    """Canonical single-line JSON of a meta-response that strict parsing
+    accepts; anything else raises InvariantViolation with the strict reason."""
     payload = {
         "text": meta.text,
-        "invocations": [{"model": v.model, "prompt": v.prompt} for v in meta.invocations],
+        "invocations": [
+            {"model": v.model, "prompt": v.prompt} if isinstance(v, Invocation) else None
+            for v in meta.invocations
+        ],
     }
+    try:
+        _read_object(payload)
+    except MetaError as exc:
+        raise InvariantViolation(str(exc)) from None
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
 
 
@@ -208,37 +194,7 @@ def _prompt_issue(prompt, where: str) -> ValidationIssue | None:
 
 
 def _parse_strict(raw: str) -> MetaResponse:
-    return _from_object(_decode(raw))
-
-
-def _from_object(obj) -> MetaResponse:
-    if not isinstance(obj, dict):
-        raise MalformedMeta("top level is not a JSON object")
-    if set(obj.keys()) != {"text", "invocations"}:
-        raise MalformedMeta(f"keys must be exactly text and invocations, got {sorted(obj)}")
-    text = obj["text"]
-    if not isinstance(text, str):
-        raise MalformedMeta("text is not a string")
-    if has_lone_surrogate(text):
-        raise MalformedMeta("text holds an unpaired surrogate")
-    items = obj["invocations"]
-    if not isinstance(items, list):
-        raise MalformedMeta("invocations is not a list")
-    invocations = []
-    for i, item in enumerate(items):
-        if not isinstance(item, dict) or set(item.keys()) != {"model", "prompt"}:
-            raise MalformedMeta(f"invocation {i} must be an object with model and prompt")
-        model, prompt = item["model"], item["prompt"]
-        if not isinstance(model, str) or not MODEL_KIND_RE.fullmatch(model):
-            raise MalformedMeta(f"invocation {i} model is not text-to-<modality>: {model!r}")
-        if not isinstance(prompt, str):
-            raise MalformedMeta(f"invocation {i} prompt is not a string")
-        if (issue := _prompt_issue(prompt, f"invocation {i}")) is not None:
-            raise MalformedMeta(f"invocation {i} {issue.message}")
-        invocations.append(Invocation(model, prompt))
-    if text == "" and not invocations:
-        raise EmptyMeta("no text and no invocations")
-    return MetaResponse(text, tuple(invocations))
+    return _read_object(_decode(raw))
 
 
 def _parse_lenient(raw: str) -> tuple[MetaResponse, ParseDiagnostics]:
@@ -248,50 +204,80 @@ def _parse_lenient(raw: str) -> tuple[MetaResponse, ParseDiagnostics]:
         obj = None
     if not isinstance(obj, dict):
         return _recover_prose(raw)
-    try:
-        return _from_object(obj), ParseDiagnostics("lenient")
-    except MalformedMeta:
-        return _recover_json_object(obj)
-
-
-def _recover_json_object(obj: dict) -> tuple[MetaResponse, ParseDiagnostics]:
     warnings: list[tuple[int, str]] = []
+    return _read_object(obj, warnings), ParseDiagnostics("lenient", tuple(warnings))
+
+
+_META_KEYS = {"text", "invocations"}
+_ITEM_KEYS = {"model", "prompt"}
+
+
+def _read_object(obj, warnings: list[tuple[int, str]] | None = None) -> MetaResponse:
+    """The one reader of a decoded meta-response object.
+
+    Without a warnings list it is strict: the exact key sets are checked
+    first and the first fault raises MalformedMeta.  With one it is
+    lenient: each fault appends its warning and the faulty part is
+    dropped or defaulted.  A prompt over the cap (PromptTooLong) and an
+    empty result (EmptyMeta) are hard errors in both modes."""
+    strict = warnings is None
+
+    def fault(reason: str, warning: str) -> None:
+        if strict:
+            raise MalformedMeta(reason)
+        warnings.append((0, warning))
+
+    if not isinstance(obj, dict):
+        raise MalformedMeta("top level is not a JSON object")
+    if strict and obj.keys() != _META_KEYS:
+        raise MalformedMeta(f"keys must be exactly text and invocations, got {sorted(obj)}")
+    # below, a missing or extra key can only be met in lenient mode
     text = obj.get("text", "")
     if not isinstance(text, str):
-        warnings.append((0, f"text field is not a string, dropped ({type(text).__name__})"))
+        kind = type(text).__name__
+        fault("text is not a string", f"text field is not a string, dropped ({kind})")
         text = ""
     elif "text" not in obj:
         warnings.append((0, "text field missing, treated as empty"))
     elif has_lone_surrogate(text):
-        warnings.append((0, "text field holds an unpaired surrogate, dropped"))
+        fault("text holds an unpaired surrogate", "text field holds an unpaired surrogate, dropped")
         text = ""
     items = obj.get("invocations")
-    invocations: list[Invocation] = []
-    if items is None:
-        warnings.append((0, "invocations field missing, treated as empty"))
-    elif not isinstance(items, list):
-        warnings.append((0, "invocations field is not a list, dropped"))
-    else:
-        for i, item in enumerate(items):
-            if not isinstance(item, dict):
-                warnings.append((0, f"invocation {i} is not an object, dropped"))
-                continue
-            model, prompt = item.get("model"), item.get("prompt")
-            if not isinstance(model, str) or not MODEL_KIND_RE.fullmatch(model):
-                warnings.append((0, f"invocation {i} has no usable model kind, dropped"))
-                continue
-            if _prompt_issue(prompt, f"invocation {i}") is not None:
-                warnings.append((0, f"invocation {i} has no usable prompt, dropped"))
-                continue
-            if set(item.keys()) != {"model", "prompt"}:
-                warnings.append((0, f"invocation {i} carries extra keys, ignored"))
-            invocations.append(Invocation(model, prompt))
-    extra = set(obj.keys()) - {"text", "invocations"}
-    if extra:
+    if not isinstance(items, list):
+        fault(
+            "invocations is not a list",
+            "invocations field missing, treated as empty"
+            if items is None
+            else "invocations field is not a list, dropped",
+        )
+        items = []
+    invocations = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or (strict and item.keys() != _ITEM_KEYS):
+            fault(
+                f"invocation {i} must be an object with model and prompt",
+                f"invocation {i} is not an object, dropped",
+            )
+            continue
+        model, prompt = item.get("model"), item.get("prompt")
+        if not isinstance(model, str) or not MODEL_KIND_RE.fullmatch(model):
+            fault(
+                f"invocation {i} model is not text-to-<modality>: {model!r}",
+                f"invocation {i} has no usable model kind, dropped",
+            )
+            continue
+        if (issue := _prompt_issue(prompt, f"invocation {i}")) is not None:
+            reason = issue.message if isinstance(prompt, str) else "prompt is not a string"
+            fault(f"invocation {i} {reason}", f"invocation {i} has no usable prompt, dropped")
+            continue
+        if item.keys() != _ITEM_KEYS:
+            warnings.append((0, f"invocation {i} carries extra keys, ignored"))
+        invocations.append(Invocation(model, prompt))
+    if extra := obj.keys() - _META_KEYS:
         warnings.append((0, f"unexpected top-level keys ignored: {sorted(extra)}"))
     if text == "" and not invocations:
-        raise EmptyMeta("JSON object yielded no text and no invocations")
-    return MetaResponse(text, tuple(invocations)), ParseDiagnostics("lenient", tuple(warnings))
+        raise EmptyMeta("no text and no invocations")
+    return MetaResponse(text, tuple(invocations))
 
 
 def _recover_prose(raw: str) -> tuple[MetaResponse, ParseDiagnostics]:
