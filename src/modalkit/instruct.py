@@ -298,6 +298,8 @@ def write_dataset(pairs: list[InstructionPair], path: str | Path) -> int:
     leaves no file behind."""
     seen: set[str] = set()
     for pair in pairs:
+        if not isinstance(pair.id, str):  # an unhashable id cannot even be looked up
+            pair_to_json(pair)  # raises the InvalidArgument that names the id's type
         if pair.id in seen:
             raise InvalidArgument(f"duplicate pair id {pair.id!r}")
         seen.add(pair.id)

@@ -225,6 +225,10 @@ def test_write_rejects_duplicate_ids(tmp_path):
 # a line that read_dataset rejects, so writing such a pair is refused.
 NON_STRING_TEXT = {
     "id": (dataclasses.replace(caption_pair(), id=5), "pair 5: id must be a string, not int"),
+    "id_unhashable": (
+        dataclasses.replace(caption_pair(), id=["x"]),
+        "pair ['x']: id must be a string, not list",
+    ),
     "instruction": (
         dataclasses.replace(caption_pair(), instruction=None),
         "pair 'p1': instruction must be a string, not NoneType",
