@@ -45,6 +45,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # run, generate-instructions and gradcheck take --seed; None keeps the config's
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise InvalidArgument(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ModalkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -245,8 +248,6 @@ def cmd_run(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise InvalidArgument(f"--trials must be >= 1, got {args.trials}")
-    if args.seed < 0:
-        raise InvalidArgument(f"--seed must be >= 0, got {args.seed}")
     for flag, value in (("--epsilon", args.epsilon), ("--threshold", args.threshold)):
         if not 0 < value < float("inf"):
             raise InvalidArgument(f"{flag} must be a finite number > 0, got {value}")

@@ -508,6 +508,16 @@ def test_gradcheck_zero_trials_exit_2(capsys):
         (None, ["gradcheck", "--threshold", "inf"], "--threshold must be a finite number > 0, got inf"),
         (None, ["gradcheck", "--threshold", "0"], "--threshold must be a finite number > 0, got 0.0"),
         (None, ["gradcheck", "--threshold", "-1"], "--threshold must be a finite number > 0, got -1.0"),
+        (
+            None,
+            ["run", "--seed", "-1", "--instruction", "Go.", "--workspace", "ws"],
+            "InvalidArgument: --seed must be >= 0, got -1",
+        ),
+        (
+            None,
+            ["generate-instructions", "--seed", "-7", "--out", "pairs.jsonl"],
+            "InvalidArgument: --seed must be >= 0, got -7",
+        ),
     ],
 )
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, monkeypatch, overrides, argv, fragment):
