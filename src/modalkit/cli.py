@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.add_argument("--threshold", type=float, default=1e-4)
-    p.add_argument("--perturb-gradients", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("params", help="print the trainable parameter budget")
@@ -251,11 +250,10 @@ def cmd_gradcheck(args) -> int:
     for flag, value in (("--epsilon", args.epsilon), ("--threshold", args.threshold)):
         if not 0 < value < float("inf"):
             raise InvalidArgument(f"{flag} must be a finite number > 0, got {value}")
-    tamper = 1e-3 if args.perturb_gradients else 0.0
     worst = 0.0
     for trial in range(args.trials):
         cfg, model, batch = random_check_instance(args.seed + trial)
-        report = gradient_check(model, batch, epsilon=args.epsilon, tamper=tamper)
+        report = gradient_check(model, batch, epsilon=args.epsilon)
         trial_worst = max(report.values())
         worst = max(worst, trial_worst)
         dims = "x".join(str(cfg.d_enc[m]) for m in sorted(cfg.d_enc, key=lambda m: m.value))

@@ -355,18 +355,10 @@ def backward(model: AlignmentModel, batch: Batch) -> tuple[float, dict[str, np.n
     return total_loss / n, grads
 
 
-def gradient_check(
-    model: AlignmentModel, batch: Batch, epsilon: float = 1e-5, tamper: float = 0.0
-) -> dict[str, float]:
+def gradient_check(model: AlignmentModel, batch: Batch, epsilon: float = 1e-5) -> dict[str, float]:
     """Max relative error between backward() and central differences,
-    per trainable array.
-
-    tamper adds a constant to the first analytic gradient entry of every
-    array; it exists purely as a negative control for the check itself."""
+    per trainable array."""
     _, analytic = backward(model, batch)
-    if tamper:
-        for arr in analytic.values():
-            arr.reshape(-1)[0] += tamper
     report: dict[str, float] = {}
     for key, arr in trainable_arrays(model):
         worst = 0.0

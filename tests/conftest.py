@@ -149,6 +149,22 @@ def tmp_workspace(tmp_path):
     return tmp_path / "ws"
 
 
+def tamper_backward(monkeypatch, delta: float) -> None:
+    """Make projection.backward add delta to the first entry of every
+    gradient array, the negative control for the gradient check."""
+    from modalkit import projection
+
+    real = projection.backward
+
+    def backward(model, batch):
+        loss, grads = real(model, batch)
+        for arr in grads.values():
+            arr.reshape(-1)[0] += delta
+        return loss, grads
+
+    monkeypatch.setattr(projection, "backward", backward)
+
+
 # --- hostile JSON ------------------------------------------------------------
 
 # Inputs json.loads rejects with something other than JSONDecodeError:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import HOSTILE_JSON
+from conftest import HOSTILE_JSON, tamper_backward
 from modalkit import chat
 from modalkit.cli import main
 from modalkit.config import data_dir
@@ -479,8 +479,11 @@ def test_gradcheck_passes(capsys):
     assert "worst" in out and "trial 0:" in out
 
 
-def test_gradcheck_detects_tampered_gradients(capsys):
-    assert main(["gradcheck", "--trials", "2", "--perturb-gradients"]) == 1
+def test_gradcheck_detects_tampered_gradients(capsys, monkeypatch):
+    tamper_backward(monkeypatch, 1e-3)
+    assert main(["gradcheck", "--trials", "2"]) == 1
+    worst = capsys.readouterr().out.splitlines()[-1].split()
+    assert worst[0] == "worst" and float(worst[1]) > 1e-3
 
 
 def test_gradcheck_zero_trials_exit_2(capsys):

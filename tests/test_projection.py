@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import tamper_backward
 from modalkit.errors import (
     BadMagic,
     DimMismatch,
@@ -405,11 +406,12 @@ def test_backward_requires_nonempty_batch():
         batch_loss(model, [])
 
 
-def test_gradient_check_agrees_with_oracle_and_catches_tampering():
+def test_gradient_check_agrees_with_oracle_and_catches_tampering(monkeypatch):
     model, batch = pinned_instance()
     clean = gradient_check(model, batch)
     assert max(clean.values()) < 1e-4
-    tampered = gradient_check(model, batch, tamper=1e-2)
+    tamper_backward(monkeypatch, 1e-2)
+    tampered = gradient_check(model, batch)
     assert max(tampered.values()) > 1e-3
 
 
