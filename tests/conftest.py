@@ -13,6 +13,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from modalkit import projection
 from modalkit.meta import GENERATABLE_MODALITIES, Invocation, MetaResponse, kind_for_modality
 from modalkit.zoo import ModelDescriptor, ModelRegistry
 
@@ -152,8 +153,6 @@ def tmp_workspace(tmp_path):
 def tamper_backward(monkeypatch, delta: float) -> None:
     """Make projection.backward add delta to the first entry of every
     gradient array, the negative control for the gradient check."""
-    from modalkit import projection
-
     real = projection.backward
 
     def backward(model, batch):

@@ -382,19 +382,21 @@ def faulty_objects(draw) -> dict:
 
 
 def _as_meta(obj: dict) -> MetaResponse:
-    """The in-memory object serialize_meta_response sees for obj: an item
-    with extra keys stays a plain dict with model and prompt, not an Invocation."""
+    """The in-memory object serialize_meta_response sees for obj.  An item
+    with extra keys becomes a plain dict with model and prompt, which
+    passes every check but the one that it is an Invocation."""
+
+    def member(item):
+        if not isinstance(item, dict):
+            return item
+        model, prompt = item.get("model"), item.get("prompt")
+        if item.keys() <= {"model", "prompt"}:
+            return Invocation(model, prompt)
+        return {"model": model, "prompt": prompt}
+
     items = obj.get("invocations")
     return MetaResponse(
-        obj.get("text", ""),
-        tuple(
-            item
-            if not isinstance(item, dict)
-            else Invocation(item.get("model"), item.get("prompt"))
-            if item.keys() <= {"model", "prompt"}
-            else {"model": item.get("model"), "prompt": item.get("prompt")}
-            for item in (items if isinstance(items, list) else [])
-        ),
+        obj.get("text", ""), tuple(member(item) for item in (items if isinstance(items, list) else []))
     )
 
 
