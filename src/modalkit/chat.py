@@ -44,6 +44,8 @@ class ChatClientConfig:
             raise ConfigError("max_retries must be >= 0")
         if self.timeout <= 0:
             raise ConfigError("timeout must be positive")
+        if self.backoff_base < 0:
+            raise ConfigError(f"backoff_base must be >= 0, got {self.backoff_base}")
 
 
 def chat_payload(model: str, prompt: str) -> dict:
@@ -63,13 +65,16 @@ def _http_post(url: str, headers: dict, payload: dict, timeout: float) -> str:
         resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
     except requests.RequestException as exc:
         raise TransportError(f"{type(exc).__name__}: {exc}") from None
-    if resp.status_code != 200:
-        raise TransportError(f"endpoint returned {resp.status_code}")
+    status = resp.status_code
+    if status != 200:
+        # only throttling and server errors may pass on a later attempt
+        retryable = status == 429 or status >= 500
+        raise TransportError(f"endpoint returned {status}", retryable=retryable)
     return resp.text
 
 
 class HttpTransport:
-    """Live transport with exponential backoff on failure."""
+    """Live transport with exponential backoff on a retryable failure."""
 
     def __init__(self, cfg: ChatClientConfig, token: str) -> None:
         self._cfg = cfg
@@ -85,6 +90,8 @@ class HttpTransport:
             try:
                 return _http_post(self._cfg.endpoint, headers, payload, self._cfg.timeout)
             except TransportError as exc:
+                if not exc.retryable:
+                    raise
                 last = exc
                 if attempt < self._cfg.max_retries:
                     time.sleep(self._cfg.backoff_base * (2**attempt))

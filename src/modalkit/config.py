@@ -89,7 +89,7 @@ class AppConfig:
 
 # The train section's own defaults: the paper-scale budget that
 # `modalkit params` reports, where TrainConfig defaults to toy sizes.
-TRAIN_DEFAULTS = {"d_enc": 1024, "d_llm": 4096, "rank": 32, "steps": 200}
+TRAIN_DEFAULTS = {"d_enc": 1024, "d_llm": 4096, "rank": 32}
 
 
 def load_app_config(path: str | Path | None = None) -> AppConfig:
@@ -106,6 +106,9 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
         return value if _check(value, kind, key, fail) else default
 
     seed = top("seed", "int", 0)
+    if seed < 0:
+        fail(f"seed must be >= 0, got {seed}")
+        seed = 0
     workspace = Path(top("workspace", "str", "runs"))
     language_backend = top("language_backend", "str", "scripted")
     if language_backend not in ("scripted", "external"):
@@ -128,14 +131,14 @@ def load_app_config(path: str | Path | None = None) -> AppConfig:
 
     raw = {**TRAIN_DEFAULTS, **top("train", "dict", {})}
     d_enc = _parse_enc_dims(raw["d_enc"], "train.d_enc", fail)
-    train = _read_section(TrainConfig, raw, "train", fail, d_enc=d_enc)
+    read = {key: raw[key] for key in ("d_llm", "token_count", "bias", "rank") if key in raw}
+    train = _read_section(TrainConfig, read, "train", fail, d_enc=d_enc)
 
     raw = top("pipeline", "dict", {})
-    # only d_enc, d_llm and rank are read; the seed is the top-level one
     given = vars(default_pipeline_config()) | {"seed": seed}
     if "d_enc" in raw:
         given["d_enc"] = _parse_enc_dims(raw["d_enc"], "pipeline.d_enc", fail)
-    read = {key: raw[key] for key in ("d_llm", "rank") if key in raw}
+    read = {"d_llm": raw["d_llm"]} if "d_llm" in raw else {}
     pipeline = _read_section(TrainConfig, read, "pipeline", fail, **given)
 
     instruct = _parse_instruct(top("instruct", "dict", {}), base, fail)
@@ -316,10 +319,10 @@ def load_scripted_rules(path: str | Path) -> ScriptedBackend:
 def build_registry(app: AppConfig) -> ModelRegistry:
     registry = ModelRegistry()
     for entry in app.registry:
-        modality = modality_for_kind(entry.kind)
-        descriptor = ModelDescriptor(entry.name, entry.kind, modality, entry.priority)
+        descriptor = ModelDescriptor(entry.name, entry.kind, entry.priority)
         if entry.backend == "command":
-            executor = command_executor(entry.command, EXTENSION_FOR_MODALITY[modality])
+            extension = EXTENSION_FOR_MODALITY[descriptor.output_modality]
+            executor = command_executor(entry.command, extension)
         else:
             executor = mock_executor(entry.kind)
         registry.register(descriptor, executor)

@@ -106,7 +106,12 @@ class MalformedLine(ModalkitError):
 
 
 class TransportError(ModalkitError):
-    """Chat transport failed after exhausting retries."""
+    """Chat transport failed.  retryable is False when the endpoint
+    refused the request in a way a retry would only repeat."""
+
+    def __init__(self, message: str, retryable: bool = True) -> None:
+        super().__init__(message)
+        self.retryable = retryable
 
 
 class FixtureMiss(ModalkitError):

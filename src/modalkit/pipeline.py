@@ -38,7 +38,7 @@ from .projection import (
     trainable_arrays,
     uniform_enc_dims,
 )
-from .zoo import FinalResponse, ModelRegistry, execute_plan, manifest_json, route
+from .zoo import FinalResponse, ModelRegistry, clear_artifacts, execute_plan, manifest_json, route
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,8 @@ class PipelineTrace:
 
 def default_pipeline_config() -> TrainConfig:
     # Small dims: the pipeline only needs the projection path to be real,
-    # not expensive.
-    return TrainConfig(d_enc=uniform_enc_dims(64), d_llm=128, rank=4)
+    # not expensive.  run never applies the adaptor, so its rank is the smallest valid one.
+    return TrainConfig(d_enc=uniform_enc_dims(64), d_llm=128, rank=1)
 
 
 def _config_key(cfg: TrainConfig) -> tuple:
@@ -276,6 +276,7 @@ def run(
         trace.stages.append(
             StageRecord("degraded", {"reason": "invocation validation failed"}, 0.0)
         )
+        clear_artifacts(ws)
         (ws / "manifest.json").write_text(manifest_json(response), encoding="utf-8")
     else:
         plan = route(meta, registry)

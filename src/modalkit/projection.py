@@ -159,9 +159,8 @@ class LoraAdaptor:
     """Square base matrix plus a rank-r update; only the update trains."""
 
     base: np.ndarray  # (d, d), frozen
-    down: np.ndarray  # (r, d), the usual A
+    down: np.ndarray  # (r, d), the usual A; its row count is the rank
     up: np.ndarray  # (d, r), the usual B, zero at init
-    rank: int
     alpha: float
 
     def __post_init__(self) -> None:
@@ -171,6 +170,8 @@ class LoraAdaptor:
         d = self.base.shape[0] if self.base.ndim == 2 else -1
         if self.base.ndim != 2 or self.base.shape != (d, d):
             raise ShapeMismatch(f"base must be square, got {self.base.shape}")
+        if self.down.ndim != 2:
+            raise ShapeMismatch(f"down must be 2-D, got {self.down.shape}")
         if self.rank < 1 or self.rank > d:
             raise InvalidArgument(f"rank must be in [1, {d}], got {self.rank}")
         if self.alpha <= 0:
@@ -183,6 +184,10 @@ class LoraAdaptor:
     @property
     def dim(self) -> int:
         return int(self.base.shape[0])
+
+    @property
+    def rank(self) -> int:
+        return int(self.down.shape[0])
 
     def scaling(self) -> float:
         return self.alpha / self.rank
@@ -223,7 +228,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     steps: int = 100
     seed: int = 0
-    loss: str = "mse"
 
     def validate(self) -> None:
         for m in GENERATABLE_MODALITIES:
@@ -247,8 +251,6 @@ class TrainConfig:
             raise InvalidArgument("steps must be >= 0")
         if self.seed < 0:
             raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
-        if self.loss != "mse":
-            raise InvalidArgument(f"unsupported loss {self.loss!r}")
 
 
 def uniform_enc_dims(dim: int) -> dict[Modality, int]:
@@ -281,7 +283,7 @@ def init_model(cfg: TrainConfig) -> AlignmentModel:
     base = 4.0 * q
     down = rng.normal(0.0, 0.02, size=(cfg.rank, cfg.d_llm))
     up = np.zeros((cfg.d_llm, cfg.rank))
-    return AlignmentModel(projections, LoraAdaptor(base, down, up, cfg.rank, cfg.alpha))
+    return AlignmentModel(projections, LoraAdaptor(base, down, up, cfg.alpha))
 
 
 def model_forward(model: AlignmentModel, vec: EmbeddingVector) -> np.ndarray:

@@ -9,10 +9,12 @@ artifacts plus a manifest into a workspace directory.
 from __future__ import annotations
 
 import json
+import os
+import re
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -24,6 +26,7 @@ from .meta import (
     MetaResponse,
     Modality,
     kind_for_modality,
+    modality_for_kind,
 )
 
 # An executor turns (prompt, seed) into artifact bytes.
@@ -36,18 +39,13 @@ _SEED_MASK = (1 << 64) - 1
 class ModelDescriptor:
     name: str
     kind: str
-    output_modality: Modality
+    output_modality: Modality = field(init=False)  # derived from kind
     priority: int = 0
 
     def __post_init__(self) -> None:
         if not self.name:
             raise InvariantViolation("backend name is empty")
-        if self.output_modality not in GENERATABLE_MODALITIES:
-            raise InvariantViolation(f"backends cannot output {self.output_modality}")
-        if self.kind != kind_for_modality(self.output_modality):
-            raise InvariantViolation(
-                f"kind {self.kind!r} does not match output modality {self.output_modality}"
-            )
+        object.__setattr__(self, "output_modality", modality_for_kind(self.kind))
 
 
 class ModelRegistry:
@@ -141,6 +139,24 @@ def artifact_name(index: int, kind: str, modality: Modality) -> str:
     return f"artifact_{index}_{kind}.{EXTENSION_FOR_MODALITY[modality]}"
 
 
+# The names artifact_name makes: a plan index, then a kind and its extension.
+_ARTIFACT_NAME = re.compile(
+    r"artifact_(0|[1-9][0-9]*)_(%s)"
+    % "|".join(
+        re.escape(f"{kind_for_modality(m)}.{ext}") for m, ext in EXTENSION_FOR_MODALITY.items()
+    )
+)
+
+
+def clear_artifacts(workspace: Path) -> None:
+    """Delete every file in workspace named the way artifact_name names
+    one, so a workspace never holds artifacts of an earlier run; any
+    other file stays."""
+    for entry in os.scandir(workspace):
+        if _ARTIFACT_NAME.fullmatch(entry.name):
+            os.unlink(entry.path)
+
+
 def execute_plan(
     plan: InvocationPlan,
     registry: ModelRegistry,
@@ -148,7 +164,8 @@ def execute_plan(
     seed: int,
     workers: int = 1,
 ) -> FinalResponse:
-    """Run every plan item and write artifacts plus manifest.json.
+    """Run every plan item, replace the workspace's artifacts with this
+    plan's, and write manifest.json.
 
     Item i runs with seed ^ i so repeated identical invocations in one
     plan still get distinct bytes.  A failing backend is recorded and the
@@ -173,6 +190,7 @@ def execute_plan(
     else:
         results = [run_item(p) for p in indexed]
 
+    clear_artifacts(ws)
     artifacts: list[ArtifactRecord] = []
     failures: list[FailureRecord] = []
     for (i, item), (_, blob, err) in zip(indexed, results):
@@ -254,6 +272,6 @@ def default_registry() -> ModelRegistry:
     reg = ModelRegistry()
     for modality in GENERATABLE_MODALITIES:
         kind = kind_for_modality(modality)
-        desc = ModelDescriptor(f"placeholder-{modality.value}", kind, modality, priority=0)
+        desc = ModelDescriptor(f"placeholder-{modality.value}", kind)
         reg.register(desc, mock_executor(kind))
     return reg.finalize()

@@ -141,7 +141,7 @@ def counting_registry() -> tuple[ModelRegistry, dict[str, CountingExecutor]]:
         kind = kind_for_modality(modality)
         executor = CountingExecutor(kind)
         executors[kind] = executor
-        registry.register(ModelDescriptor(f"count-{modality.value}", kind, modality), executor)
+        registry.register(ModelDescriptor(f"count-{modality.value}", kind), executor)
     return registry.finalize(), executors
 
 

@@ -177,6 +177,26 @@ def test_http_post_maps_request_errors_to_transport_error(monkeypatch):
         HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
 
 
+class FakeResponse:
+    def __init__(self, status_code: int) -> None:
+        self.status_code = status_code
+        self.text = "body"
+
+
+@pytest.mark.parametrize(
+    "status, attempts", [(400, 1), (401, 1), (404, 1), (429, 4), (500, 4), (503, 4)]
+)
+def test_http_transport_retries_only_throttling_and_server_errors(monkeypatch, status, attempts):
+    posts, sleeps = [], []
+    monkeypatch.setattr(requests, "post", lambda url, **kw: posts.append(url) or FakeResponse(status))
+    monkeypatch.setattr(chat.time, "sleep", sleeps.append)
+    cfg = ChatClientConfig(endpoint="http://x", mode="live", max_retries=3)
+    with pytest.raises(TransportError, match=f"endpoint returned {status}"):
+        HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
+    assert len(posts) == attempts
+    assert sleeps == [0.5 * 2**i for i in range(attempts - 1)]
+
+
 def test_cli_import_does_not_load_requests():
     import modalkit
 
@@ -236,6 +256,8 @@ def test_config_validation_errors(tmp_path):
         ChatClientConfig(mode="live", endpoint="http://x", max_retries=-1).validate()
     with pytest.raises(ConfigError):
         ChatClientConfig(mode="live", endpoint="http://x", timeout=0).validate()
+    with pytest.raises(ConfigError, match="backoff_base must be >= 0"):
+        ChatClientConfig(mode="live", endpoint="http://x", backoff_base=-0.5).validate()
 
 
 class OneShot:

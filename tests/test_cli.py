@@ -497,7 +497,7 @@ def test_gradcheck_zero_trials_exit_2(capsys):
         (
             {"seed": -1},
             ["run", "--instruction", "Go.", "--workspace", "ws"],
-            "pipeline: seed must be >= 0, got -1",
+            "is invalid:\n  seed must be >= 0, got -1\n",
         ),
         (
             {"instruct": {"seeds_per_query": -1}},
@@ -547,6 +547,51 @@ def test_params_default_budget(capsys):
         "lora 262144\n"
         "total 12845056 (12,845,056)\n"
     )
+
+
+# The train and pipeline sections of the bundled config before they lost
+# the keys nothing reads; a config copied from it must keep working.
+OLD_TRAIN_AND_PIPELINE = {
+    "train": {
+        "d_enc": 1024,
+        "d_llm": 4096,
+        "token_count": 1,
+        "bias": False,
+        "rank": 32,
+        "alpha": 16.0,
+        "learning_rate": 0.05,
+        "steps": 200,
+        "seed": 7,
+        "loss": "mse",
+    },
+    "pipeline": {"d_enc": 64, "d_llm": 128, "rank": 4},
+}
+
+
+def test_params_same_for_a_config_naming_unread_keys(tmp_path, capsys):
+    assert main(["params"]) == 0
+    bundled = capsys.readouterr().out
+    config = _bundled_config_copy(tmp_path)
+    doc = json.loads(config.read_text())
+    config.write_text(json.dumps({**doc, **OLD_TRAIN_AND_PIPELINE}))
+    assert main(["params", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == bundled
+
+
+def test_run_with_a_tiny_pipeline_d_llm(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = _bundled_config_copy(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["pipeline"]["d_llm"] = 2
+    config.write_text(json.dumps(doc))
+    wav = tmp_path / "cat.wav"
+    wav.write_bytes(b"\x01" * 64)
+    argv = ["run", "--config", str(config), "--instruction", "Make an image.", "--attach", str(wav)]
+    assert main([*argv, "--workspace", "ws"]) == 0
+    capsys.readouterr()
+    stages = json.loads((tmp_path / "ws" / "trace.json").read_text())["stages"]
+    (project,) = [s for s in stages if s["name"] == "project"]
+    assert project["details"] == {"token_shapes": [[1, 2]]}
 
 
 def test_params_toy_config(tmp_path, capsys):

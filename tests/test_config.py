@@ -46,7 +46,7 @@ def test_bundled_default_config_loads():
     assert len(app.registry) == 3
     assert app.language_backend == "scripted"
     assert app.train.d_llm == 4096 and app.train.rank == 32
-    assert app.pipeline.d_llm == 128 and app.pipeline.rank == 4
+    assert app.pipeline.d_llm == 128 and app.pipeline.rank == 1
     assert isinstance(app.chat, ChatClientConfig) and app.chat.mode == "replay"
     assert Path(app.chat.fixture_path).exists()
     assert app.backend_rules == data_dir() / "rules.json"
@@ -71,6 +71,23 @@ def test_all_problems_reported_in_one_error(tmp_path):
     message = str(excinfo.value)
     for fragment in ("text-to-smell", "language_backend", "train", "seed"):
         assert fragment in message, fragment
+
+
+def test_negative_seed_is_reported_once_under_its_own_name(tmp_path):
+    with pytest.raises(ConfigError) as excinfo:
+        load_app_config(write_config(tmp_path, minimal_doc(seed=-1)))
+    assert str(excinfo.value).splitlines()[1:] == ["  seed must be >= 0, got -1"]
+
+
+def test_train_and_pipeline_read_only_their_sizes(tmp_path):
+    # keys nothing reads are ignored like any other unknown key, whatever their value
+    unread = {"alpha": "abc", "learning_rate": -1, "steps": -1, "seed": -1, "loss": 0}
+    doc = minimal_doc(
+        train={"d_llm": 8, "rank": 2, **unread}, pipeline={"d_llm": 8, "rank": 99, **unread}
+    )
+    app = load_app_config(write_config(tmp_path, doc))
+    assert (app.train.d_llm, app.train.rank, app.pipeline.d_llm, app.pipeline.rank) == (8, 2, 8, 1)
+    assert (app.train.alpha, app.train.steps, app.pipeline.seed) == (16.0, 100, 0)
 
 
 def test_unreadable_and_nonobject_configs(tmp_path):
@@ -166,12 +183,12 @@ _REPLAY = {"mode": "replay", "fixture_path": "fx.json"}
 @pytest.mark.parametrize(
     "overrides, fragment",
     [
-        ({"train": {"alpha": "abc"}}, "train.alpha must be a finite number, got 'abc'"),
-        ({"train": {"alpha": "0.1"}}, "train.alpha must be a finite number, got '0.1'"),
-        ({"train": {"alpha": float("nan")}}, "train.alpha must be a finite number, got nan"),
-        ({"train": {"alpha": 10**400}}, "train.alpha must be a finite number"),
-        ({"train": {"alpha": True}}, "train.alpha must be a finite number, got True"),
-        ({"train": {"learning_rate": float("inf")}}, "train.learning_rate must be a finite"),
+        ({"chat": dict(_REPLAY, timeout="abc")}, "chat.timeout must be a finite number, got 'abc'"),
+        ({"chat": dict(_REPLAY, backoff_base="0.1")}, "chat.backoff_base must be a finite number, got '0.1'"),
+        ({"chat": dict(_REPLAY, timeout=float("nan"))}, "chat.timeout must be a finite number, got nan"),
+        ({"chat": dict(_REPLAY, backoff_base=10**400)}, "chat.backoff_base must be a finite number"),
+        ({"chat": dict(_REPLAY, timeout=True)}, "chat.timeout must be a finite number, got True"),
+        ({"chat": dict(_REPLAY, backoff_base=float("inf"))}, "chat.backoff_base must be a finite"),
         ({"train": {"bias": "false"}}, "train.bias must be true or false, got 'false'"),
         ({"chat": dict(_REPLAY, timeout=[1])}, "chat.timeout must be a finite number, got [1]"),
         ({"chat": dict(_REPLAY, backoff_base="x")}, "chat.backoff_base must be a finite number"),
@@ -200,7 +217,7 @@ _REPLAY = {"mode": "replay", "fixture_path": "fx.json"}
         ({"instruct": {"seeds": 5}}, "instruct.seeds must be a string, got 5"),
         ({"instruct": {"candidates": {"audio": 7}}}, "instruct.candidates.audio must be a string"),
         ({"instruct": {"references": None}}, "instruct.references must be a string, got None"),
-        ({"train": {"loss": 0}}, "train.loss must be a string, got 0"),
+        ({"chat": dict(_REPLAY, backoff_base=-0.5)}, "chat: backoff_base must be >= 0, got -0.5"),
     ],
 )
 def test_mistyped_fields_are_one_config_error(tmp_path, capsys, overrides, fragment):
@@ -215,13 +232,13 @@ def test_mistyped_fields_are_one_config_error(tmp_path, capsys, overrides, fragm
 
 def test_typed_fields_accept_json_numbers_and_bools(tmp_path):
     doc = minimal_doc(
-        train={"alpha": 8, "learning_rate": 0.5, "bias": True},
+        train={"bias": True},
         chat=dict(_REPLAY, timeout=5, backoff_base=0),
     )
     app = load_app_config(write_config(tmp_path, doc))
-    assert app.train.alpha == 8.0 and isinstance(app.train.alpha, float)
-    assert app.train.learning_rate == 0.5 and app.train.bias is True
-    assert app.chat.timeout == 5.0 and app.chat.backoff_base == 0.0
+    assert app.train.bias is True
+    assert app.chat.timeout == 5.0 and isinstance(app.chat.timeout, float)
+    assert app.chat.backoff_base == 0.0 and isinstance(app.chat.backoff_base, float)
 
 
 def test_minimal_config_yields_todays_defaults(tmp_path):
@@ -237,12 +254,11 @@ def test_minimal_config_yields_todays_defaults(tmp_path):
         "rank": 32,
         "alpha": 16.0,
         "learning_rate": 0.05,
-        "steps": 200,
+        "steps": 100,
         "seed": 0,
-        "loss": "mse",
     }
-    pipeline_dims = {"d_enc": {m: 64 for m in GENERATABLE_MODALITIES}, "d_llm": 128, "rank": 4}
-    assert asdict(app.pipeline) == {**asdict(app.train), **pipeline_dims, "steps": 100}
+    pipeline_dims = {"d_enc": {m: 64 for m in GENERATABLE_MODALITIES}, "d_llm": 128, "rank": 1}
+    assert asdict(app.pipeline) == {**asdict(app.train), **pipeline_dims}
     assert asdict(app.instruct) == {
         "type_mix": {
             InstructionType.INPUT_ALIGN: 0.4,

@@ -127,7 +127,7 @@ def test_text_attachment_modality_flagged():
 def test_unserved_model_kind_flagged():
     registry = ModelRegistry()
     registry.register(
-        ModelDescriptor("img-only", "text-to-image", Modality.IMAGE), lambda p, s: b""
+        ModelDescriptor("img-only", "text-to-image"), lambda p, s: b""
     )
     registry.finalize()
     pair = InstructionPair(

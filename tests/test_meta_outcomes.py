@@ -287,7 +287,7 @@ def test_serialize_rejects_unpaired_surrogates(meta):
 def _image_only_registry() -> ModelRegistry:
     registry = ModelRegistry()
     registry.register(
-        ModelDescriptor("img", "text-to-image", Modality.IMAGE), lambda prompt, seed: b""
+        ModelDescriptor("img", "text-to-image"), lambda prompt, seed: b""
     )
     return registry.finalize()
 

@@ -436,3 +436,23 @@ def test_stage_timings_tile_the_call(tmp_path, degraded):
         assert list(elapsed) == SUCCESS_STAGES
     written = json.loads((ws / "trace.json").read_text())["stages"]
     assert [s["elapsed_ms"] for s in written] == [round(s.elapsed_ms, 3) for s in trace.stages]
+
+
+def test_a_workspace_holds_only_the_latest_runs_artifacts(tmp_path):
+    image_and_audio = (
+        '{"text":"","invocations":[{"model":"text-to-image","prompt":"a cat"},'
+        '{"model":"text-to-audio","prompt":"a purr"}]}'
+    )
+    video = '{"text":"","invocations":[{"model":"text-to-video","prompt":"a cat running"}]}'
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / "notes.txt").write_text("mine")
+    counts = []
+    for respond in (image_and_audio, video, HOLOGRAM):
+        backend = ScriptedBackend([ScriptedRule(respond=respond)])
+        run(UserRequest("Go."), default_registry(), backend, ws, include_timings=False)
+        listed = {a["path"] for a in json.loads((ws / "manifest.json").read_text())["artifacts"]}
+        assert set(p.name for p in ws.iterdir()) == listed | {"notes.txt", "manifest.json", "trace.json"}
+        counts.append(len(listed))
+    assert counts == [2, 1, 0]
+    assert (ws / "notes.txt").read_text() == "mine"

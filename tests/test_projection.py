@@ -243,7 +243,7 @@ def test_project_mismatches():
 def test_lora_zero_up_is_transparent_bitwise():
     rng = np.random.default_rng(4)
     base = rng.normal(size=(6, 6))
-    adaptor = LoraAdaptor(base, rng.normal(size=(2, 6)), np.zeros((6, 2)), rank=2, alpha=8.0)
+    adaptor = LoraAdaptor(base, rng.normal(size=(2, 6)), np.zeros((6, 2)), alpha=8.0)
     for _ in range(20):
         x = rng.normal(size=6)
         assert np.array_equal(lora_forward(adaptor, x), base @ x)
@@ -254,7 +254,6 @@ def test_lora_worked_example():
         np.zeros((2, 2)),
         np.array([[1.0, 0.0]]),
         np.array([[2.0], [3.0]]),
-        rank=1,
         alpha=1.0,
     )
     assert np.array_equal(lora_forward(adaptor, np.array([1.0, 1.0])), np.array([2.0, 3.0]))
@@ -266,7 +265,6 @@ def test_lora_linearity():
         rng.normal(size=(5, 5)),
         rng.normal(size=(2, 5)),
         rng.normal(size=(5, 2)),
-        rank=2,
         alpha=3.0,
     )
     x = rng.normal(size=5)
@@ -280,7 +278,6 @@ def test_lora_matches_effective_weight():
         rng.normal(size=(4, 4)),
         rng.normal(size=(3, 4)),
         rng.normal(size=(4, 3)),
-        rank=3,
         alpha=2.0,
     )
     x = rng.normal(size=4)
@@ -288,15 +285,24 @@ def test_lora_matches_effective_weight():
 
 
 def test_lora_shape_checks():
+    assert LoraAdaptor(np.eye(3), np.zeros((2, 3)), np.zeros((3, 2)), 1.0).rank == 2
     with pytest.raises(ShapeMismatch):
-        LoraAdaptor(np.zeros((3, 2)), np.zeros((1, 3)), np.zeros((3, 1)), 1, 1.0)
+        LoraAdaptor(np.zeros((3, 2)), np.zeros((1, 3)), np.zeros((3, 1)), 1.0)
+    with pytest.raises(ShapeMismatch):
+        LoraAdaptor(np.zeros((3, 3)), np.zeros(3), np.zeros((3, 1)), 1.0)
     with pytest.raises(InvalidArgument):
-        LoraAdaptor(np.zeros((3, 3)), np.zeros((4, 3)), np.zeros((3, 4)), 4, 1.0)
+        LoraAdaptor(np.zeros((3, 3)), np.zeros((4, 3)), np.zeros((3, 4)), 1.0)
     with pytest.raises(InvalidArgument):
-        LoraAdaptor(np.zeros((3, 3)), np.zeros((1, 3)), np.zeros((3, 1)), 1, 0.0)
+        LoraAdaptor(np.zeros((3, 3)), np.zeros((0, 3)), np.zeros((3, 0)), 1.0)
+    with pytest.raises(InvalidArgument):
+        LoraAdaptor(np.zeros((3, 3)), np.zeros((1, 3)), np.zeros((3, 1)), 0.0)
+    with pytest.raises(ShapeMismatch):
+        LoraAdaptor(np.zeros((3, 3)), np.zeros((1, 3)), np.zeros((3, 2)), 1.0)
+    with pytest.raises(ShapeMismatch):
+        LoraAdaptor(np.zeros((3, 3)), np.zeros((1, 2)), np.zeros((3, 1)), 1.0)
     with pytest.raises(ShapeMismatch):
         lora_forward(
-            LoraAdaptor(np.eye(3), np.zeros((1, 3)), np.zeros((3, 1)), 1, 1.0),
+            LoraAdaptor(np.eye(3), np.zeros((1, 3)), np.zeros((3, 1)), 1.0),
             np.zeros(4),
         )
 
@@ -526,5 +532,3 @@ def test_train_config_validation():
         TrainConfig(d_enc={Modality.IMAGE: 4}, d_llm=4).validate()
     with pytest.raises(InvalidArgument):
         TrainConfig(d_enc=uniform_enc_dims(4), d_llm=4, rank=9).validate()
-    with pytest.raises(InvalidArgument):
-        TrainConfig(d_enc=uniform_enc_dims(4), d_llm=4, loss="mae").validate()

@@ -28,7 +28,7 @@ from modalkit.zoo import (
 
 
 def image_desc(name: str, priority: int = 0) -> ModelDescriptor:
-    return ModelDescriptor(name, "text-to-image", Modality.IMAGE, priority)
+    return ModelDescriptor(name, "text-to-image", priority)
 
 
 def null_executor(prompt: str, seed: int) -> bytes:
@@ -84,11 +84,12 @@ def test_resolve_unknown_kind():
         reg.finalize().resolve("text-to-audio")
 
 
-def test_descriptor_kind_must_match_modality():
+def test_descriptor_derives_modality_from_kind():
+    assert ModelDescriptor("x", "text-to-audio").output_modality is Modality.AUDIO
     with pytest.raises(InvariantViolation):
-        ModelDescriptor("bad", "text-to-image", Modality.AUDIO)
+        ModelDescriptor("bad", "text-to-smell")
     with pytest.raises(InvariantViolation):
-        ModelDescriptor("", "text-to-image", Modality.IMAGE)
+        ModelDescriptor("", "text-to-image")
 
 
 def test_default_registry_serves_all_kinds():
@@ -220,9 +221,9 @@ def test_execute_isolates_failures(tmp_workspace):
     def boom(prompt: str, seed: int) -> bytes:
         raise RuntimeError("backend fell over")
 
-    reg.register(ModelDescriptor("bad-image", "text-to-image", Modality.IMAGE), boom)
+    reg.register(ModelDescriptor("bad-image", "text-to-image"), boom)
     audio = CountingExecutor("text-to-audio")
-    reg.register(ModelDescriptor("ok-audio", "text-to-audio", Modality.AUDIO), audio)
+    reg.register(ModelDescriptor("ok-audio", "text-to-audio"), audio)
     meta = MetaResponse(
         "", (Invocation("text-to-image", "a"), Invocation("text-to-audio", "b"))
     )
@@ -259,6 +260,28 @@ def test_execute_with_workers_matches_serial(tmp_path):
     assert (serial_ws / "manifest.json").read_text() == (par_ws / "manifest.json").read_text()
 
 
+def test_execute_plan_leaves_only_the_artifacts_its_manifest_lists(tmp_workspace):
+    def boom(prompt: str, seed: int) -> bytes:
+        raise RuntimeError("down")
+
+    failing = ModelRegistry()
+    failing.register(ModelDescriptor("bad-image", "text-to-image"), boom)
+    tmp_workspace.mkdir()
+    (tmp_workspace / "notes.txt").write_text("mine")
+    lookalike = "artifact_0_text-to-image.png"  # not a name artifact_name makes
+    (tmp_workspace / lookalike).write_bytes(b"keep")
+    for registry, kinds in (
+        (default_registry(), ["text-to-image", "text-to-audio"]),
+        (failing.finalize(), ["text-to-image"]),
+    ):
+        meta = MetaResponse("", tuple(Invocation(kind, "p") for kind in kinds))
+        execute_plan(route(meta, registry), registry, tmp_workspace, seed=0)
+        manifest = json.loads((tmp_workspace / "manifest.json").read_text())
+        listed = {a["path"] for a in manifest["artifacts"]}
+        assert set(os.listdir(tmp_workspace)) == listed | {"notes.txt", lookalike, "manifest.json"}
+    assert listed == set() and (tmp_workspace / lookalike).read_bytes() == b"keep"
+
+
 def test_mock_executor_delegates_to_renderer():
     from modalkit.media import render_placeholder
 
@@ -288,7 +311,7 @@ def test_command_executor_failure_is_isolated(tmp_path, tmp_workspace):
     script = write_script(tmp_path / "bad.sh", "#!/bin/sh\necho nope >&2\nexit 3\n")
     reg = ModelRegistry()
     reg.register(
-        ModelDescriptor("cmd-image", "text-to-image", Modality.IMAGE),
+        ModelDescriptor("cmd-image", "text-to-image"),
         command_executor(script, "ppm"),
     )
     meta = MetaResponse("", (Invocation("text-to-image", "x"),))
