@@ -486,6 +486,16 @@ def test_gradcheck_detects_tampered_gradients(capsys, monkeypatch):
     assert worst[0] == "worst" and float(worst[1]) > 1e-3
 
 
+def test_gradcheck_fails_on_a_nan_gradient(capsys, monkeypatch):
+    # max() drops NaN, so a NaN gradient once read as a tiny error and
+    # the command passed.
+    tamper_backward(monkeypatch, float("nan"))
+    assert main(["gradcheck", "--trials", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("max_rel=inf")
+    assert lines[-1] == "worst inf threshold 1e-04"
+
+
 def test_gradcheck_zero_trials_exit_2(capsys):
     assert main(["gradcheck", "--trials", "0"]) == 2
     assert "error: InvalidArgument" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from modalkit.chat import load_fixture
+from modalkit.cli import main
 from modalkit.config import data_dir, load_app_config, load_instruct_corpus
 from modalkit.instruct import (
     Attachment,
@@ -287,9 +288,9 @@ def test_template_dataset_odd_candidates_golden(tmp_path):
     assert sha(path.read_bytes()) == ODD_DATASET_SHA
 
 
-def _load_fixture_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "make_chat_fixture.py"
-    spec = importlib.util.spec_from_file_location("make_chat_fixture", path)
+def _load_script(name: str):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -299,4 +300,24 @@ def test_bundled_chat_fixture_matches_its_builder():
     # The bundled replay bodies are template pairs of single-type mixes
     # with their own id prefixes, so this also pins those paths.
     bundled = load_fixture(data_dir() / "chat_fixture.json")
-    assert _load_fixture_script().build_responses() == bundled
+    assert _load_script("make_chat_fixture").build_responses() == bundled
+
+
+# Training outputs, computed with the per-sample training loop (one
+# model_forward and one gradient update per sample): the stdout of
+# `gradcheck --trials 10 --seed 0`, and the loss-curve CSV that
+# scripts/train_curve.py writes at its default arguments.
+GRADCHECK_STDOUT_SHA = "9e429905119db131c436b697d3558b3be72f4dc3c300ea0ea4038c38bea5fb04"
+TRAIN_CURVE_CSV_SHA = "b0186d2f494796b46394cc7539679e2ab908d2997269bea969a5e43c2544d8cf"
+
+
+def test_gradcheck_stdout_golden(capsys):
+    assert main(["gradcheck", "--trials", "10", "--seed", "0"]) == 0
+    assert sha(capsys.readouterr().out.encode()) == GRADCHECK_STDOUT_SHA
+
+
+def test_train_curve_csv_golden(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "train_curve.csv"
+    monkeypatch.setattr("sys.argv", ["train_curve.py", "--out", str(out)])
+    assert _load_script("train_curve").main() == 0
+    assert sha(out.read_bytes()) == TRAIN_CURVE_CSV_SHA

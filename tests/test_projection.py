@@ -7,7 +7,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import training_reference as reference
 from conftest import tamper_backward
 from modalkit.errors import (
     BadMagic,
@@ -19,6 +21,7 @@ from modalkit.errors import (
     NotNormalized,
     ShapeMismatch,
 )
+from modalkit import projection
 from modalkit.meta import GENERATABLE_MODALITIES, Modality
 from modalkit.projection import (
     AlignmentModel,
@@ -421,6 +424,39 @@ def test_gradient_check_agrees_with_oracle_and_catches_tampering(monkeypatch):
     assert max(tampered.values()) > 1e-3
 
 
+def test_gradient_check_reports_inf_for_one_nan_gradient_entry(monkeypatch):
+    # max() drops NaN, so this entry once left lora.up reading about 1e-7.
+    model, batch = pinned_instance()
+    real = projection.backward
+
+    def backward(model, batch):
+        loss, grads = real(model, batch)
+        grads["lora.up"][0, 0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(projection, "backward", backward)
+    report = gradient_check(model, batch)
+    assert report["lora.up"] == np.inf
+    assert all(np.isfinite(v) for k, v in report.items() if k != "lora.up")
+
+
+def test_gradient_check_reports_inf_for_a_non_finite_loss():
+    # A NaN target makes both the analytic and the numeric side NaN.
+    model, batch = pinned_instance()
+    vec, target = batch[0]
+    batch[0] = (vec, np.full_like(target, np.nan))
+    report = gradient_check(model, batch)
+    assert set(report.values()) == {np.inf}
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-5, np.nan, np.inf])
+def test_gradient_check_rejects_bad_epsilon(epsilon):
+    # 0.0 once raised a bare ZeroDivisionError and NaN reported all zeros.
+    model, batch = pinned_instance()
+    with pytest.raises(InvalidArgument, match="epsilon must be a finite number > 0"):
+        gradient_check(model, batch, epsilon=epsilon)
+
+
 def test_random_check_instances_cover_modalities():
     for seed in range(5):
         cfg, model, batch = random_check_instance(seed)
@@ -428,6 +464,66 @@ def test_random_check_instances_cover_modalities():
         assert {vec.modality for vec, _ in batch} == set(GENERATABLE_MODALITIES)
         report = gradient_check(model, batch)
         assert set(report) == {key for key, _ in trainable_arrays(model)}
+
+
+# --- the per-sample reference ----------------------------------------------------------
+
+
+def assert_matches_reference(model, batch):
+    assert batch_loss(model, batch) == reference.batch_loss(model, batch)
+    loss, grads = backward(model, batch)
+    ref_loss, ref_grads = reference.backward(model, batch)
+    assert loss == ref_loss
+    assert list(grads) == list(ref_grads)
+    for key, grad in grads.items():
+        assert grad.shape == ref_grads[key].shape, key
+        assert np.array_equal(grad, ref_grads[key]), key
+    for vec, _ in batch:
+        assert np.array_equal(model_forward(model, vec), reference.model_forward(model, vec))
+
+
+# Seeds 0 and 8 build a model without bias, 2 and 4 one with bias (4 also
+# has two tokens per input).  Batch indices cycle image, audio, video, so
+# picks [0, 3] hold only images.
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    samples=st.integers(1, 12),
+    picks=st.lists(st.integers(0, 11), min_size=1, max_size=12),
+)
+@example(seed=0, samples=1, picks=[1])  # one sample, no bias
+@example(seed=2, samples=1, picks=[2])  # one sample, bias
+@example(seed=4, samples=6, picks=[0, 3])  # a batch missing two modalities
+@example(seed=8, samples=12, picks=list(range(12)))  # n >= 8, no bias
+@example(seed=4, samples=12, picks=[5, 1, 9, 0, 0, 7, 2, 11, 3])  # n >= 8, out of order, bias
+def test_stacked_training_math_matches_per_sample_reference(seed, samples, picks):
+    _, model, batch = random_check_instance(seed, samples=samples)
+    assert_matches_reference(model, [batch[i % len(batch)] for i in picks])
+
+
+def test_single_scalar_shapes_match_reference():
+    # With d_llm = d_enc = 1 every per-sample gradient is one number, the
+    # shape where a numpy sum over the batch axis turns pairwise.
+    cfg = TrainConfig(d_enc=uniform_enc_dims(1), d_llm=1, rank=1, bias=True, seed=3)
+    model = init_model(cfg)
+    model.adaptor.up += 0.7
+    rng = np.random.default_rng(5)
+    batch = [
+        (EmbeddingVector(GENERATABLE_MODALITIES[i % 2], [float(rng.choice([-1.0, 1.0]))]), rng.normal(size=(1, 1)))
+        for i in range(40)
+    ]
+    assert_matches_reference(model, batch)
+
+
+def test_training_errors_match_reference():
+    _, model, batch = random_check_instance(3, samples=6)
+    vec, target = batch[4]
+    wrong_target = batch[:4] + [(vec, target[:, :-1])] + batch[5:]
+    wrong_dim = batch[:2] + [(EmbeddingVector(vec.modality, np.ones(vec.dim + 1) / np.sqrt(vec.dim + 1)), target)]
+    for bad in (wrong_target, wrong_dim):
+        for fn in (batch_loss, backward, reference.batch_loss, reference.backward):
+            with pytest.raises(ShapeMismatch):
+                fn(model, bad)
 
 
 # --- parameter accounting ---------------------------------------------------------------
@@ -517,6 +613,13 @@ def test_train_detects_divergence():
 def test_train_rejects_empty_dataset():
     with pytest.raises(InvalidArgument):
         train_toy(toy_cfg(), [])
+
+
+def test_train_benchmark_config_final_loss_is_pinned():
+    # The train_gradcheck benchmark's train_toy call, pinned exactly.
+    cfg = TrainConfig(d_enc=uniform_enc_dims(32), d_llm=64, rank=4, alpha=8.0, learning_rate=0.05, steps=100, seed=7)
+    result = train_toy(cfg, make_learnable_dataset(cfg, n=48, seed=7))
+    assert result.trace[-1] == 3.5104372753349367
 
 
 def test_export_trace_csv(tmp_path):

@@ -92,6 +92,14 @@ def test_descriptor_derives_modality_from_kind():
         ModelDescriptor("", "text-to-image")
 
 
+@pytest.mark.parametrize("priority", ["high", Modality.IMAGE, True], ids=["str", "modality", "bool"])
+def test_descriptor_rejects_non_integer_priority(priority):
+    # Such a descriptor used to build, and resolve() then failed with a
+    # bare TypeError when it negated the priority.
+    with pytest.raises(InvariantViolation, match="priority must be an integer"):
+        ModelDescriptor("x", "text-to-image", priority)
+
+
 def test_default_registry_serves_all_kinds():
     reg = default_registry()
     assert reg.finalized
