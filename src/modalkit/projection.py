@@ -309,10 +309,82 @@ def trainable_arrays(model: AlignmentModel) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def batch_loss(model: AlignmentModel, batch: Batch) -> float:
+# The training math groups the batch by modality once per call and runs
+# one stacked pass per group, with results bit-identical to a loop over
+# samples: np.matmul on a 3-D stack calls BLAS once per 2-D slice, just
+# as the per-sample products do, and per-sample terms are summed in
+# batch order.
+
+
+@dataclass
+class _Group:
+    """The samples of one modality, stacked in batch order."""
+
+    modality: Modality
+    index: np.ndarray  # their positions in the batch
+    values: np.ndarray  # (m, d_enc) embeddings
+    targets: np.ndarray  # (m, token_count, d_llm)
+
+
+def _group_batch(model: AlignmentModel, batch: Batch) -> list[_Group]:
     if not batch:
         raise InvalidArgument("batch is empty")
-    return float(np.mean([alignment_loss(model_forward(model, v), t) for v, t in batch]))
+    # modality -> (d_enc, target shape, batch positions)
+    slots = {m: (p.d_enc, (p.token_count, p.d_llm), []) for m, p in model.projections.items()}
+    for i, (vec, target) in enumerate(batch):
+        d_enc, want, index = slots[vec.modality]
+        if vec.dim != d_enc:
+            raise ShapeMismatch(f"projection expects dim {d_enc}, embedding has {vec.dim}")
+        if np.shape(target) != want:
+            raise ShapeMismatch(f"target shape {np.shape(target)} does not match {want}")
+        index.append(i)
+    return [
+        _Group(
+            m,
+            np.array(index),
+            np.array([batch[i][0].values for i in index]),
+            np.array([batch[i][1] for i in index], dtype=np.float64),
+        )
+        for m, (_, _, index) in slots.items()
+        if index
+    ]
+
+
+def _group_tokens(model: AlignmentModel, group: _Group) -> np.ndarray:
+    """(m, token_count, d_llm): per sample, the products project() makes."""
+    proj = model.projections[group.modality]
+    flat = np.matmul(proj.weight, group.values[:, :, None])[:, :, 0]
+    if proj.bias is not None:
+        flat = flat + proj.bias
+    return flat.reshape(len(group.index), proj.token_count, proj.d_llm)
+
+
+def _sample_losses(resid: np.ndarray) -> np.ndarray:
+    """alignment_loss of each sample in a residual stack."""
+    sq = (resid * resid).reshape(len(resid), -1)
+    return np.add.reduce(sq, axis=1) / sq.shape[1]
+
+
+def _sum_in_order(parts: np.ndarray) -> np.ndarray:
+    """parts[0] + parts[1] + ..., left to right like a += loop.  numpy sums
+    axis 0 row by row, except for one-number parts, which it sums pairwise."""
+    if parts[0].size == 1:
+        return np.add.accumulate(parts, axis=0)[-1]
+    return np.add.reduce(parts, axis=0)
+
+
+def _fill_losses(out: np.ndarray, groups: list[_Group], tokens: list[np.ndarray], w_eff: np.ndarray) -> np.ndarray:
+    """Write each sample's alignment_loss into out at its batch position."""
+    for group, t in zip(groups, tokens):
+        out[group.index] = _sample_losses(np.matmul(t, w_eff.T) - group.targets)
+    return out
+
+
+def batch_loss(model: AlignmentModel, batch: Batch) -> float:
+    """Mean over the samples of each one's alignment_loss."""
+    groups = _group_batch(model, batch)
+    tokens = [_group_tokens(model, group) for group in groups]
+    return float(np.mean(_fill_losses(np.empty(len(batch)), groups, tokens, model.adaptor.effective_weight())))
 
 
 def backward(model: AlignmentModel, batch: Batch) -> tuple[float, dict[str, np.ndarray]]:
@@ -321,8 +393,7 @@ def backward(model: AlignmentModel, batch: Batch) -> tuple[float, dict[str, np.n
     Chain, per sample: tokens H = Wv (+b) reshaped (k, d_llm); output
     Y = H Weff^T with Weff = base + s * up @ down; loss = mean((Y - T)^2).
     """
-    if not batch:
-        raise InvalidArgument("batch is empty")
+    groups = _group_batch(model, batch)
     adaptor = model.adaptor
     s = adaptor.scaling()
     w_eff = adaptor.effective_weight()
@@ -332,48 +403,72 @@ def backward(model: AlignmentModel, batch: Batch) -> tuple[float, dict[str, np.n
     for key, arr in trainable_arrays(model):
         grads[key] = np.zeros_like(arr)
 
-    total_loss = 0.0
-    g_weff = np.zeros_like(w_eff)
-    for vec, target in batch:
-        proj = model.projections[vec.modality]
-        tokens = project(proj, vec)  # (k, d_llm)
-        pred = tokens @ w_eff.T
-        target = np.asarray(target, dtype=np.float64)
-        if pred.shape != target.shape:
-            raise ShapeMismatch(f"target shape {target.shape} does not match {pred.shape}")
-        resid = pred - target
-        total_loss += float(np.mean(resid * resid))
+    losses = np.empty(n)
+    g_weff_parts = np.empty((n, *w_eff.shape))  # one per sample, in batch order
+    for group in groups:
+        tokens = _group_tokens(model, group)
+        resid = np.matmul(tokens, w_eff.T) - group.targets
+        losses[group.index] = _sample_losses(resid)
         # d loss / d pred, including both mean normalizations
-        g_pred = (2.0 / (n * resid.size)) * resid
-        g_weff += g_pred.T @ tokens
-        g_tokens = g_pred @ w_eff  # (k, d_llm)
-        g_flat = g_tokens.reshape(-1)
-        grads[f"proj.{vec.modality.value}.weight"] += np.outer(g_flat, vec.values)
-        if proj.bias is not None:
-            grads[f"proj.{vec.modality.value}.bias"] += g_flat
+        g_pred = (2.0 / (n * resid[0].size)) * resid
+        if tokens.shape[1] == 1:
+            # One token: each entry of g_pred^T @ tokens is a single product,
+            # which broadcasting forms as exactly as BLAS does, and faster.
+            g_weff_parts[group.index] = g_pred[:, 0, :, None] * tokens[:, 0, None, :]
+        else:
+            g_weff_parts[group.index] = np.matmul(g_pred.transpose(0, 2, 1), tokens)
+        g_flat = np.matmul(g_pred, w_eff).reshape(len(group.index), -1)  # (m, k * d_llm)
+        name = f"proj.{group.modality.value}"
+        grads[f"{name}.weight"] += _sum_in_order(g_flat[:, :, None] * group.values[:, None, :])
+        if model.projections[group.modality].bias is not None:
+            grads[f"{name}.bias"] += _sum_in_order(g_flat)
 
+    g_weff = np.zeros_like(w_eff) + _sum_in_order(g_weff_parts)
     grads["lora.up"] += s * (g_weff @ adaptor.down.T)
     grads["lora.down"] += s * (adaptor.up.T @ g_weff)
+    total_loss = 0.0
+    for loss in losses.tolist():  # a left-to-right sum, unlike batch_loss's np.mean
+        total_loss += loss
     return total_loss / n, grads
 
 
 def gradient_check(model: AlignmentModel, batch: Batch, epsilon: float = 1e-5) -> dict[str, float]:
     """Max relative error between backward() and central differences,
-    per trainable array."""
+    per trainable array.  A non-finite value on either side reads inf."""
+    if not 0 < epsilon < float("inf"):
+        raise InvalidArgument(f"epsilon must be a finite number > 0, got {epsilon}")
+    groups = _group_batch(model, batch)
     _, analytic = backward(model, batch)
+    w_eff = model.adaptor.effective_weight()
+    tokens = [_group_tokens(model, group) for group in groups]
+    losses = _fill_losses(np.empty(len(batch)), groups, tokens, w_eff)
+
+    def nudged_loss(key: str) -> float:
+        """batch_loss after a nudge to the array key names, recomputing only what it feeds."""
+        if key.startswith("lora."):
+            # every loss moves, no token does
+            out = _fill_losses(losses.copy(), groups, tokens, model.adaptor.effective_weight())
+        else:
+            # only the nudged projection's own samples move
+            mine = [group for group in groups if key.startswith(f"proj.{group.modality.value}.")]
+            out = _fill_losses(losses.copy(), mine, [_group_tokens(model, group) for group in mine], w_eff)
+        return float(np.mean(out))
+
     report: dict[str, float] = {}
     for key, arr in trainable_arrays(model):
         worst = 0.0
         flat = arr.reshape(-1)
-        for i in range(flat.size):
+        for i, a in enumerate(analytic[key].reshape(-1).tolist()):
             kept = flat[i]
             flat[i] = kept + epsilon
-            up = batch_loss(model, batch)
+            up = nudged_loss(key)
             flat[i] = kept - epsilon
-            down = batch_loss(model, batch)
+            down = nudged_loss(key)
             flat[i] = kept
             numeric = (up - down) / (2.0 * epsilon)
-            a = float(analytic[key].reshape(-1)[i])
+            if not (abs(a) < float("inf") and abs(numeric) < float("inf")):
+                worst = float("inf")  # max() would drop a NaN
+                continue
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, rel)
         report[key] = worst

@@ -45,6 +45,8 @@ class ModelDescriptor:
     def __post_init__(self) -> None:
         if not self.name:
             raise InvariantViolation("backend name is empty")
+        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
+            raise InvariantViolation(f"priority must be an integer, got {self.priority!r}")
         object.__setattr__(self, "output_modality", modality_for_kind(self.kind))
 
 

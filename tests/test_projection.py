@@ -477,7 +477,8 @@ def assert_matches_reference(model, batch):
     assert list(grads) == list(ref_grads)
     for key, grad in grads.items():
         assert grad.shape == ref_grads[key].shape, key
-        assert np.array_equal(grad, ref_grads[key]), key
+        # the bytes, so the sign of every zero must agree too
+        assert grad.tobytes() == ref_grads[key].tobytes(), key
     for vec, _ in batch:
         assert np.array_equal(model_forward(model, vec), reference.model_forward(model, vec))
 
