@@ -373,7 +373,9 @@ def _sum_in_order(parts: np.ndarray) -> np.ndarray:
     return np.add.reduce(parts, axis=0)
 
 
-def _fill_losses(out: np.ndarray, groups: list[_Group], tokens: list[np.ndarray], w_eff: np.ndarray) -> np.ndarray:
+def _fill_losses(
+    out: np.ndarray, groups: list[_Group], tokens: list[np.ndarray], w_eff: np.ndarray
+) -> np.ndarray:
     """Write each sample's alignment_loss into out at its batch position."""
     for group, t in zip(groups, tokens):
         out[group.index] = _sample_losses(np.matmul(t, w_eff.T) - group.targets)
@@ -384,7 +386,8 @@ def batch_loss(model: AlignmentModel, batch: Batch) -> float:
     """Mean over the samples of each one's alignment_loss."""
     groups = _group_batch(model, batch)
     tokens = [_group_tokens(model, group) for group in groups]
-    return float(np.mean(_fill_losses(np.empty(len(batch)), groups, tokens, model.adaptor.effective_weight())))
+    losses = _fill_losses(np.empty(len(batch)), groups, tokens, model.adaptor.effective_weight())
+    return float(np.mean(losses))
 
 
 def backward(model: AlignmentModel, batch: Batch) -> tuple[float, dict[str, np.ndarray]]:
@@ -451,7 +454,8 @@ def gradient_check(model: AlignmentModel, batch: Batch, epsilon: float = 1e-5) -
         else:
             # only the nudged projection's own samples move
             mine = [group for group in groups if key.startswith(f"proj.{group.modality.value}.")]
-            out = _fill_losses(losses.copy(), mine, [_group_tokens(model, group) for group in mine], w_eff)
+            fresh = [_group_tokens(model, group) for group in mine]
+            out = _fill_losses(losses.copy(), mine, fresh, w_eff)
         return float(np.mean(out))
 
     report: dict[str, float] = {}

@@ -509,10 +509,10 @@ def test_single_scalar_shapes_match_reference():
     model = init_model(cfg)
     model.adaptor.up += 0.7
     rng = np.random.default_rng(5)
-    batch = [
-        (EmbeddingVector(GENERATABLE_MODALITIES[i % 2], [float(rng.choice([-1.0, 1.0]))]), rng.normal(size=(1, 1)))
-        for i in range(40)
-    ]
+    batch = []
+    for i in range(40):
+        vec = EmbeddingVector(GENERATABLE_MODALITIES[i % 2], [rng.choice([-1.0, 1.0])])
+        batch.append((vec, rng.normal(size=(1, 1))))
     assert_matches_reference(model, batch)
 
 
@@ -520,7 +520,8 @@ def test_training_errors_match_reference():
     _, model, batch = random_check_instance(3, samples=6)
     vec, target = batch[4]
     wrong_target = batch[:4] + [(vec, target[:, :-1])] + batch[5:]
-    wrong_dim = batch[:2] + [(EmbeddingVector(vec.modality, np.ones(vec.dim + 1) / np.sqrt(vec.dim + 1)), target)]
+    longer = EmbeddingVector(vec.modality, np.ones(vec.dim + 1) / np.sqrt(vec.dim + 1))
+    wrong_dim = batch[:2] + [(longer, target)]
     for bad in (wrong_target, wrong_dim):
         for fn in (batch_loss, backward, reference.batch_loss, reference.backward):
             with pytest.raises(ShapeMismatch):
@@ -618,7 +619,9 @@ def test_train_rejects_empty_dataset():
 
 def test_train_benchmark_config_final_loss_is_pinned():
     # The train_gradcheck benchmark's train_toy call, pinned exactly.
-    cfg = TrainConfig(d_enc=uniform_enc_dims(32), d_llm=64, rank=4, alpha=8.0, learning_rate=0.05, steps=100, seed=7)
+    cfg = TrainConfig(
+        d_enc=uniform_enc_dims(32), d_llm=64, rank=4, alpha=8.0, learning_rate=0.05, steps=100, seed=7
+    )
     result = train_toy(cfg, make_learnable_dataset(cfg, n=48, seed=7))
     assert result.trace[-1] == 3.5104372753349367
 

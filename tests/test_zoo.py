@@ -94,8 +94,8 @@ def test_descriptor_derives_modality_from_kind():
 
 @pytest.mark.parametrize("priority", ["high", Modality.IMAGE, True], ids=["str", "modality", "bool"])
 def test_descriptor_rejects_non_integer_priority(priority):
-    # Such a descriptor used to build, and resolve() then failed with a
-    # bare TypeError when it negated the priority.
+    # A str or Modality priority used to build, and resolve() then failed
+    # with a bare TypeError when it negated it; a bool counted as 0 or 1.
     with pytest.raises(InvariantViolation, match="priority must be an integer"):
         ModelDescriptor("x", "text-to-image", priority)
 

@@ -14,7 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from modalkit.errors import InvalidArgument, ShapeMismatch
-from modalkit.projection import AlignmentModel, EmbeddingVector, alignment_loss, project, trainable_arrays
+from modalkit.projection import (
+    AlignmentModel,
+    EmbeddingVector,
+    alignment_loss,
+    project,
+    trainable_arrays,
+)
 
 Batch = list[tuple[EmbeddingVector, np.ndarray]]
 
