@@ -53,7 +53,7 @@ from .instruct import (
     validate_pair,
     write_dataset,
 )
-from .pipeline import ScriptedBackend, ScriptedRule, UserRequest, describe_inputs, run
+from .pipeline import ScriptedBackend, ScriptedRule, UserRequest, run
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "assemble_query",
     "backward",
     "default_registry",
-    "describe_inputs",
     "encode_stub",
     "execute_plan",
     "generate_pairs_llm",

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .instruct import Attachment
 from .media import modality_for_path
-from .meta import Modality, parse_meta_response, validate_invocations
+from .meta import Modality, has_lone_surrogate, parse_meta_response, validate_invocations
 from .projection import (
     AlignmentModel,
     EmbeddingVector,
@@ -148,16 +148,22 @@ def _shared_model(key: tuple) -> AlignmentModel:
     return model
 
 
-def _validate_request(req: UserRequest) -> None:
-    if not req.instruction.strip():
-        raise InstructionRequired("request instruction is empty")
-    for att in req.attachments:
-        if not Path(att.path).exists():
+def _encode_attachment(att: Attachment, cfg: TrainConfig, seed: int) -> EmbeddingVector:
+    """Check one attachment (its path, its file, the claimed modality and
+    the extension), then encode its bytes, or load its .mvec and check the
+    stored modality and dim against the request and cfg."""
+    if has_lone_surrogate(att.path):
+        raise InvalidArgument(f"attachment path {att.path!r} holds an unpaired surrogate")
+    path = Path(att.path)
+    if not path.is_file():  # a FIFO or a directory would block or fail the read
+        if not path.exists():
             raise AttachmentMissing(att.path)
-        if not Path(att.path).is_file():
-            raise InvalidArgument(f"attachment {att.path} is not a regular file")
-        if att.path.endswith(".mvec"):
-            continue  # checked against the stored header at encode time
+        raise InvalidArgument(f"attachment {att.path} is not a regular file")
+    want_dim = cfg.d_enc.get(att.modality)
+    if want_dim is None:
+        raise ModalityMismatch(f"{att.path}: attachments cannot be {att.modality.value}")
+    mvec = att.path.endswith(".mvec")  # checked against its stored header below
+    if not mvec:
         inferred = modality_for_path(att.path)
         if inferred is None:
             raise ModalityMismatch(f"{att.path}: unrecognized extension")
@@ -165,13 +171,9 @@ def _validate_request(req: UserRequest) -> None:
             raise ModalityMismatch(
                 f"{att.path}: extension says {inferred.value}, request says {att.modality.value}"
             )
-
-
-def _encode_attachment(att: Attachment, cfg: TrainConfig, seed: int) -> EmbeddingVector:
-    want_dim = cfg.d_enc[att.modality]
     try:
-        if not att.path.endswith(".mvec"):
-            return encode_stub(Path(att.path).read_bytes(), att.modality, want_dim, seed)
+        if not mvec:
+            return encode_stub(path.read_bytes(), att.modality, want_dim, seed)
         vec = load_embedding(att.path)
     except OSError as exc:
         raise InvalidArgument(f"cannot read attachment {att.path}: {exc}") from None
@@ -182,26 +184,6 @@ def _encode_attachment(att: Attachment, cfg: TrainConfig, seed: int) -> Embeddin
     if vec.dim != want_dim:
         raise ShapeMismatch(f"{att.path}: stored dim {vec.dim}, config wants {want_dim}")
     return vec
-
-
-def describe_inputs(
-    req: UserRequest, cfg: TrainConfig | None = None, seed: int = 0
-) -> list[dict]:
-    """Encode every attachment and report (path, modality, dim, norm) in order."""
-    cfg = cfg or default_pipeline_config()
-    _validate_request(req)
-    out = []
-    for att in req.attachments:
-        vec = _encode_attachment(att, cfg, seed)
-        out.append(
-            {
-                "path": att.path,
-                "modality": att.modality.value,
-                "dim": vec.dim,
-                "norm": float((vec.values**2).sum() ** 0.5),
-            }
-        )
-    return out
 
 
 def run(
@@ -216,23 +198,19 @@ def run(
 ) -> tuple[FinalResponse, PipelineTrace]:
     """Drive one request through every stage and write trace.json.
 
-    Hard errors (empty instruction, missing attachment, empty meta)
-    raise before anything is generated; invocation-validation failures
-    degrade to a text-only response instead.  The projection model is
-    built once per distinct cfg value per process (a small bounded memo)
-    and shared read-only by every later request with an equal cfg.
+    The instruction is checked, then each attachment is checked and
+    encoded in one pass, in order, and the inputs are projected; a fault
+    there raises before the workspace is created.  The workspace is
+    created just before the backend is called (its creation counts
+    toward the backend stage), so one that cannot be created costs no
+    chat request.  Invocation-validation failures degrade to a text-only
+    response.  The projection model is built once per distinct cfg value
+    per process (a small bounded memo) and shared read-only by every
+    later request with an equal cfg.
 
     A stage's elapsed_ms runs from the end of the stage before it (for
-    the first, from the workspace's creation) to the end of its own
+    the first, from the start of the call) to the end of its own
     details, so the stages tile the call; the "degraded" marker reads 0.0."""
-    cfg = cfg or default_pipeline_config()
-    _validate_request(req)  # before the workspace is even created
-
-    ws = Path(workspace)
-    try:
-        ws.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidArgument(f"cannot create workspace {ws}: {exc}") from None
     trace = PipelineTrace()
     last = time.perf_counter()
 
@@ -242,6 +220,11 @@ def run(
         trace.stages.append(StageRecord(name, details, (now - last) * 1000.0))
         last = now
 
+    cfg = cfg or default_pipeline_config()
+    if not req.instruction.strip():
+        raise InstructionRequired("request instruction is empty")
+    if has_lone_surrogate(req.instruction):
+        raise InvalidArgument("instruction holds an unpaired surrogate")
     attachments = [{"path": a.path, "modality": a.modality.value} for a in req.attachments]
     record(
         "validate",
@@ -255,6 +238,11 @@ def run(
     tokens = [project(model.projections[v.modality], v) for v in embeddings]
     record("project", {"token_shapes": [list(t.shape) for t in tokens]})
 
+    ws = Path(workspace)
+    try:
+        ws.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot create workspace {ws}: {exc}") from None
     raw = backend.generate(req.instruction, tuple(a.modality for a in req.attachments))
     record("backend", {"backend": type(backend).__name__})
 

@@ -19,6 +19,7 @@ from modalkit.config import data_dir
 from modalkit.instruct import Candidate, template_generate, write_dataset
 from modalkit.media import render_placeholder
 from modalkit.meta import Modality
+from modalkit.projection import encode_stub, write_embedding
 
 CAT_CANONICAL = (
     '{"text":"","invocations":[{"model":"text-to-image","prompt":"A photo of a cat"}]}'
@@ -321,26 +322,31 @@ st_deep = st.builds(
 @settings(max_examples=40, deadline=None)
 def test_parse_and_validate_exit_0_1_2_on_any_text(data):
     """Run in-process, so an exception escaping main (what the console
-    script would print as a traceback) fails the test.  Stdin gets the
+    script would print as a traceback) fails the test; SystemExit carries
+    the exit code the console script would return.  Stdin gets the
     bytes as a UTF-8 locale in UTF-8 mode decodes them (surrogateescape)."""
     err = io.StringIO()
     text = data.decode("utf-8", "surrogateescape")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
         path.write_bytes(data)
+        calls = [(["run", "--instruction", text, "--workspace", str(Path(tmp) / "ws")], "")]
         for mode in ("strict", "lenient"):
-            for argv, stdin in (
+            calls += [
                 (["parse-meta", "--mode", mode], text),
                 (["parse-meta", "--mode", mode, "--file", str(path)], ""),
                 (["validate-dataset", "--in", str(path), "--mode", mode], ""),
-            ):
-                saved, sys.stdin = sys.stdin, io.StringIO(stdin)
-                try:
-                    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                        code = main(argv)
-                finally:
-                    sys.stdin = saved
-                assert code in (0, 1, 2), argv
+            ]
+        for argv, stdin in calls:
+            saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+            try:
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = main(argv)
+            except SystemExit as exc:  # argparse refusing an instruction that looks like a flag
+                code = exc.code
+            finally:
+                sys.stdin = saved
+            assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
 
 
@@ -420,6 +426,40 @@ def test_run_directory_attachment_exit_2_before_workspace(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: InvalidArgument: attachment {folder} is not a regular file\n"
+    assert not ws.exists()
+
+
+def _text_claimed_mvec(tmp_path):
+    path = tmp_path / "a.mvec"
+    write_embedding(encode_stub(b"payload", Modality.IMAGE, 64, seed=0), path)
+    return ["--instruction", "hi", "--attach", f"{path}:text"], (
+        f"ModalityMismatch: {path}: attachments cannot be text"
+    )
+
+
+def _surrogate_instruction(tmp_path):
+    # a UTF-8 locale decodes the argv byte 0xff to the lone surrogate \udcff
+    return ["--instruction", "caf\udcff"], "InvalidArgument: instruction holds an unpaired surrogate"
+
+
+def _surrogate_path(tmp_path):
+    path = tmp_path / "snd\udcff.wav"
+    path.write_bytes(render_placeholder("text-to-audio", "a purr", 0))
+    return ["--instruction", "hi", "--attach", str(path)], (
+        f"InvalidArgument: attachment path {str(path)!r} holds an unpaired surrogate"
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_text_claimed_mvec, _surrogate_instruction, _surrogate_path],
+    ids=["text-modality", "surrogate-instruction", "surrogate-path"],
+)
+def test_run_refuses_a_bad_request_with_one_line_and_no_workspace(tmp_path, capsys, case):
+    args, message = case(tmp_path)
+    ws = tmp_path / "ws"
+    assert main(["run", *args, "--workspace", str(ws)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not ws.exists()
 
 

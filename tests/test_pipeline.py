@@ -12,6 +12,7 @@ from modalkit import chat, pipeline
 from modalkit.config import load_scripted_rules
 from modalkit.errors import (
     AttachmentMissing,
+    BadMagic,
     ConfigError,
     EmptyMeta,
     InstructionRequired,
@@ -29,7 +30,6 @@ from modalkit.pipeline import (
     ScriptedRule,
     StageRecord,
     UserRequest,
-    describe_inputs,
     run,
 )
 from modalkit.projection import (
@@ -72,6 +72,11 @@ def cat_backend() -> ScriptedBackend:
     )
 
 
+class Explosive:
+    def generate(self, instruction, modalities):
+        raise AssertionError("backend must not run")
+
+
 def cat_request(tmp_path) -> UserRequest:
     wav = tmp_path / "cat_meowing.wav"
     wav.write_bytes(render_placeholder("text-to-audio", "a cat meowing", 0))
@@ -106,11 +111,6 @@ def test_catch_all_rule_yields_text_only_run(tmp_path):
 
 def test_empty_instruction_raises_before_any_work(tmp_path):
     ws = tmp_path / "never"
-
-    class Explosive:
-        def generate(self, instruction, modalities):
-            raise AssertionError("backend must not run")
-
     with pytest.raises(InstructionRequired):
         run(UserRequest("   "), default_registry(), Explosive(), ws)
     assert not ws.exists()
@@ -135,9 +135,11 @@ def test_modality_extension_disagreement_raises(tmp_path):
 def test_unrecognized_extension_raises(tmp_path):
     txt = tmp_path / "notes.txt"
     txt.write_text("hello")
+    ws = tmp_path / "ws"
     req = UserRequest("Describe.", (Attachment(str(txt), Modality.IMAGE),))
     with pytest.raises(ModalityMismatch):
-        describe_inputs(req)
+        run(req, default_registry(), cat_backend(), ws)
+    assert not ws.exists()
 
 
 def test_unserved_kind_degrades_to_text_only(tmp_path):
@@ -206,56 +208,171 @@ def test_plan_ordering_multiple_invocations(tmp_path):
     )
 
 
-# --- describe_inputs and .mvec attachments ----------------------------------------
+# --- .mvec attachments and request faults -------------------------------------------
 
 
-def test_describe_inputs_order_and_purity(tmp_path):
-    img = tmp_path / "a.png"
-    img.write_bytes(b"img-bytes")
-    wav = tmp_path / "b.wav"
-    wav.write_bytes(b"wav-bytes")
-    req = UserRequest(
-        "Describe.",
-        (
-            Attachment(str(img), Modality.IMAGE),
-            Attachment(str(wav), Modality.AUDIO),
-            Attachment(str(img), Modality.IMAGE),
-        ),
-    )
-    first = describe_inputs(req, seed=2)
-    second = describe_inputs(req, seed=2)
-    assert first == second
-    assert [d["path"] for d in first] == [str(img), str(wav), str(img)]
-    assert first[0] == first[2]
-    assert all(abs(d["norm"] - 1.0) < 1e-6 for d in first)
-    assert describe_inputs(UserRequest("Nothing attached.")) == []
+def _mvec(tmp_path, modality=Modality.IMAGE, dim=64, byte_at=None) -> str:
+    """An .mvec file holding one encoded vector; byte_at=(offset, value) corrupts one header byte."""
+    path = tmp_path / "emb.mvec"
+    write_embedding(encode_stub(b"payload", modality, dim, seed=0), path)
+    if byte_at is not None:
+        blob = bytearray(path.read_bytes())
+        offset, value = byte_at
+        blob[offset] = value
+        path.write_bytes(bytes(blob))
+    return str(path)
 
 
 def test_mvec_attachment_happy_path(tmp_path):
-    vec = encode_stub(b"payload", Modality.IMAGE, 64, seed=0)
-    path = tmp_path / "emb.mvec"
-    write_embedding(vec, path)
-    req = UserRequest("Describe.", (Attachment(str(path), Modality.IMAGE),))
-    (report,) = describe_inputs(req)
-    assert report["dim"] == 64 and report["modality"] == "image"
+    req = UserRequest("Describe.", (Attachment(_mvec(tmp_path), Modality.IMAGE),))
+    _, trace = run(req, default_registry(), cat_backend(), tmp_path / "ws")
+    (encode,) = [s for s in trace.stages if s.name == "encode"]
+    assert encode.details == {"dims": [64]}
 
 
 def test_mvec_modality_header_mismatch(tmp_path):
-    vec = encode_stub(b"payload", Modality.AUDIO, 64, seed=0)
-    path = tmp_path / "emb.mvec"
-    write_embedding(vec, path)
-    req = UserRequest("Describe.", (Attachment(str(path), Modality.IMAGE),))
+    ws = tmp_path / "ws"
+    req = UserRequest("Describe.", (Attachment(_mvec(tmp_path, Modality.AUDIO), Modality.IMAGE),))
     with pytest.raises(ModalityMismatch):
-        describe_inputs(req)
+        run(req, default_registry(), cat_backend(), ws)
+    assert not ws.exists()
 
 
 def test_mvec_dim_mismatch_vs_config(tmp_path):
-    vec = encode_stub(b"payload", Modality.IMAGE, 32, seed=0)
-    path = tmp_path / "emb.mvec"
-    write_embedding(vec, path)
-    req = UserRequest("Describe.", (Attachment(str(path), Modality.IMAGE),))
+    ws = tmp_path / "ws"
+    req = UserRequest("Describe.", (Attachment(_mvec(tmp_path, dim=32), Modality.IMAGE),))
     with pytest.raises(ShapeMismatch):
-        describe_inputs(req)
+        run(req, default_registry(), cat_backend(), ws)
+    assert not ws.exists()
+
+
+def _attach(path, modality: Modality) -> UserRequest:
+    return UserRequest("Describe.", (Attachment(str(path), modality),))
+
+
+def _fault_empty_instruction(tmp_path):
+    return UserRequest("   "), InstructionRequired, "request instruction is empty"
+
+
+def _fault_missing(tmp_path):
+    path = tmp_path / "ghost.wav"
+    return _attach(path, Modality.AUDIO), AttachmentMissing, str(path)
+
+
+def _fault_directory(tmp_path):
+    path = tmp_path / "dir.wav"
+    path.mkdir()
+    return _attach(path, Modality.AUDIO), InvalidArgument, f"attachment {path} is not a regular file"
+
+
+def _fault_unknown_extension(tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_text("hello")
+    return _attach(path, Modality.IMAGE), ModalityMismatch, f"{path}: unrecognized extension"
+
+
+def _fault_extension_disagrees(tmp_path):
+    path = tmp_path / "clip.wav"
+    path.write_bytes(b"x")
+    return (
+        _attach(path, Modality.IMAGE),
+        ModalityMismatch,
+        f"{path}: extension says audio, request says image",
+    )
+
+
+def _fault_text_modality(tmp_path):
+    path = _mvec(tmp_path)
+    return _attach(path, Modality.TEXT), ModalityMismatch, f"{path}: attachments cannot be text"
+
+
+def _fault_mvec_magic(tmp_path):
+    path = _mvec(tmp_path, byte_at=(0, ord("X")))
+    return _attach(path, Modality.IMAGE), BadMagic, f"{path}: not an MVEC file"
+
+
+def _fault_mvec_version(tmp_path):
+    path = _mvec(tmp_path, byte_at=(4, 9))
+    return _attach(path, Modality.IMAGE), BadMagic, f"{path}: unsupported version 9"
+
+
+def _fault_mvec_modality(tmp_path):
+    path = _mvec(tmp_path, Modality.AUDIO)
+    return (
+        _attach(path, Modality.IMAGE),
+        ModalityMismatch,
+        f"{path}: stored modality audio, request says image",
+    )
+
+
+def _fault_mvec_dim(tmp_path):
+    path = _mvec(tmp_path, dim=32)
+    return _attach(path, Modality.IMAGE), ShapeMismatch, f"{path}: stored dim 32, config wants 64"
+
+
+def _fault_instruction_surrogate(tmp_path):
+    req = UserRequest("caf\udcff")  # the byte 0xff, as a UTF-8 argv decodes it
+    return req, InvalidArgument, "instruction holds an unpaired surrogate"
+
+
+def _fault_path_surrogate(tmp_path):
+    path = tmp_path / "snd\udcff.wav"  # a file named with the byte 0xff
+    path.write_bytes(b"RIFFdata")
+    return (
+        _attach(path, Modality.AUDIO),
+        InvalidArgument,
+        f"attachment path {str(path)!r} holds an unpaired surrogate",
+    )
+
+
+REQUEST_FAULTS = {
+    "empty-instruction": _fault_empty_instruction,
+    "missing-file": _fault_missing,
+    "directory": _fault_directory,
+    "unknown-extension": _fault_unknown_extension,
+    "extension-disagrees": _fault_extension_disagrees,
+    "text-modality": _fault_text_modality,
+    "mvec-bad-magic": _fault_mvec_magic,
+    "mvec-bad-version": _fault_mvec_version,
+    "mvec-stored-modality": _fault_mvec_modality,
+    "mvec-stored-dim": _fault_mvec_dim,
+    "instruction-surrogate": _fault_instruction_surrogate,
+    "path-surrogate": _fault_path_surrogate,
+}
+
+
+def _workspace_bytes(ws):
+    if not ws.exists():
+        return None
+    return {p.name: p.read_bytes() for p in ws.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "fault, earlier_run",
+    [(name, False) for name in REQUEST_FAULTS] + [("path-surrogate", True)],
+    ids=[*REQUEST_FAULTS, "earlier-run-left-untouched"],
+)
+def test_a_request_fault_raises_before_the_workspace_is_touched(tmp_path, fault, earlier_run):
+    ws = tmp_path / "ws"
+    if earlier_run:
+        run(cat_request(tmp_path), default_registry(), cat_backend(), ws, seed=5)
+    before = _workspace_bytes(ws)
+    assert bool(before) == earlier_run
+    req, error, message = REQUEST_FAULTS[fault](tmp_path)
+    with pytest.raises(error) as caught:
+        run(req, default_registry(), Explosive(), ws)
+    assert type(caught.value) is error and str(caught.value) == message
+    assert _workspace_bytes(ws) == before
+
+
+def test_an_attachments_faults_come_before_the_next_attachment(tmp_path):
+    bad = _mvec(tmp_path, byte_at=(0, ord("X")))
+    req = UserRequest(
+        "Describe.",
+        (Attachment(bad, Modality.IMAGE), Attachment(str(tmp_path / "ghost.wav"), Modality.AUDIO)),
+    )
+    with pytest.raises(BadMagic):
+        run(req, default_registry(), Explosive(), tmp_path / "ws")
 
 
 # --- backends ------------------------------------------------------------------------
