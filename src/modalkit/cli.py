@@ -222,6 +222,8 @@ def _parse_attach(spec: str) -> Attachment:
 
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        raise InvalidArgument(f"--workers must be >= 1, got {args.workers}")
     app = load_app_config(args.config)
     seed = app.seed if args.seed is None else args.seed
     registry = build_registry(app)

@@ -27,11 +27,10 @@ from .instruct import (
     load_reference_lines,
     read_dataset,
 )
-from .media import EXTENSION_FOR_MODALITY
 from .meta import GENERATABLE_MODALITIES, Modality, modality_for_kind
 from .pipeline import ExternalBackend, ScriptedBackend, ScriptedRule, default_pipeline_config
 from .projection import TrainConfig, uniform_enc_dims
-from .zoo import ModelDescriptor, ModelRegistry, command_executor, mock_executor
+from .zoo import ModelRegistry, registry_of
 
 
 def data_dir() -> Path:
@@ -317,16 +316,10 @@ def load_scripted_rules(path: str | Path) -> ScriptedBackend:
 
 
 def build_registry(app: AppConfig) -> ModelRegistry:
-    registry = ModelRegistry()
-    for entry in app.registry:
-        descriptor = ModelDescriptor(entry.name, entry.kind, entry.priority)
-        if entry.backend == "command":
-            extension = EXTENSION_FOR_MODALITY[descriptor.output_modality]
-            executor = command_executor(entry.command, extension)
-        else:
-            executor = mock_executor(entry.kind)
-        registry.register(descriptor, executor)
-    return registry.finalize()
+    return registry_of(
+        (e.name, e.kind, e.priority, e.command if e.backend == "command" else None)
+        for e in app.registry
+    )
 
 
 def build_language_backend(app: AppConfig, transport=None):

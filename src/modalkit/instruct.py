@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -294,20 +295,27 @@ def _read_string_list(s: str, start: int, lineno: int) -> list[str]:
 
 
 def write_dataset(pairs: list[InstructionPair], path: str | Path) -> int:
-    """Write one canonical line per pair; a pair that cannot be encoded
-    leaves no file behind."""
+    """Write one canonical line per pair, in one pass, to a temporary file
+    beside the target, then rename it over the target (through a symlink
+    at path, as open() would).  The first faulty pair in order raises: a
+    text field that is not a string or a repeated id (InvalidArgument), or
+    a lone surrogate (UnicodeEncodeError).  Any failure, an OSError
+    included, removes the temporary file and leaves the target as it was."""
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
     seen: set[str] = set()
-    for pair in pairs:
-        if not isinstance(pair.id, str):  # an unhashable id cannot even be looked up
-            pair_to_json(pair)  # raises the InvalidArgument that names the id's type
-        if pair.id in seen:
-            raise InvalidArgument(f"duplicate pair id {pair.id!r}")
-        seen.add(pair.id)
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pair_to_json(pair) + "\n" for pair in pairs)
-    except (InvalidArgument, UnicodeEncodeError):  # UnicodeEncodeError: a lone surrogate
-        Path(path).unlink()
+        with fh:
+            for pair in pairs:
+                line = pair_to_json(pair)  # names a non-string id before it is hashed
+                if pair.id in seen:
+                    raise InvalidArgument(f"duplicate pair id {pair.id!r}")
+                seen.add(pair.id)
+                fh.write(line + "\n")
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
         raise
     return len(pairs)
 

@@ -9,6 +9,7 @@ to a text-only response with diagnostics; they never execute partially.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import time
@@ -203,10 +204,14 @@ def run(
     there raises before the workspace is created.  The workspace is
     created just before the backend is called (its creation counts
     toward the backend stage), so one that cannot be created costs no
-    chat request.  Invocation-validation failures degrade to a text-only
-    response.  The projection model is built once per distinct cfg value
-    per process (a small bounded memo) and shared read-only by every
-    later request with an equal cfg.
+    chat request.  If anything from its creation to its first write
+    raises (the backend, the lenient parse, routing), the run removes
+    the directories it created, deepest first, and re-raises; one that
+    existed before the run, or is no longer empty, stays.
+    Invocation-validation failures degrade to a text-only response.  The
+    projection model is built once per distinct cfg value per process (a
+    small bounded memo) and shared read-only by every later request with
+    an equal cfg.
 
     A stage's elapsed_ms runs from the end of the stage before it (for
     the first, from the start of the call) to the end of its own
@@ -239,25 +244,37 @@ def run(
     record("project", {"token_shapes": [list(t.shape) for t in tokens]})
 
     ws = Path(workspace)
+    created = []  # the directories this run makes, deepest first
+    path = ws
+    while path != path.parent and not path.exists():
+        created.append(path)
+        path = path.parent
     try:
-        ws.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InvalidArgument(f"cannot create workspace {ws}: {exc}") from None
-    raw = backend.generate(req.instruction, tuple(a.modality for a in req.attachments))
-    record("backend", {"backend": type(backend).__name__})
+        try:
+            ws.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidArgument(f"cannot create workspace {ws}: {exc}") from None
+        raw = backend.generate(req.instruction, tuple(a.modality for a in req.attachments))
+        record("backend", {"backend": type(backend).__name__})
 
-    meta, diags = parse_meta_response(raw, mode="lenient")
-    record(
-        "parse",
-        {
-            "text_bytes": len(meta.text.encode("utf-8")),
-            "invocations": [{"model": v.model, "prompt": v.prompt} for v in meta.invocations],
-            "warnings": [m for _, m in diags.warnings],
-        },
-    )
+        meta, diags = parse_meta_response(raw, mode="lenient")
+        record(
+            "parse",
+            {
+                "text_bytes": len(meta.text.encode("utf-8")),
+                "invocations": [{"model": v.model, "prompt": v.prompt} for v in meta.invocations],
+                "warnings": [m for _, m in diags.warnings],
+            },
+        )
 
-    issues = [str(i) for i in validate_invocations(meta, registry)]
-    record("validate_invocations", {"issues": issues})
+        issues = [str(i) for i in validate_invocations(meta, registry)]
+        record("validate_invocations", {"issues": issues})
+        plan = None if issues else route(meta, registry)
+    except BaseException:
+        for path in created:  # rmdir keeps a directory that is no longer empty
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
 
     if issues:
         response = FinalResponse(text=meta.text, diagnostics=tuple(issues))
@@ -267,7 +284,6 @@ def run(
         clear_artifacts(ws)
         (ws / "manifest.json").write_text(manifest_json(response), encoding="utf-8")
     else:
-        plan = route(meta, registry)
         items = [{"model": i.invocation.model, "backend": i.descriptor.name} for i in plan.items]
         record("route", {"items": items})
 

@@ -8,6 +8,7 @@ artifacts plus a manifest into a workspace directory.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import DuplicateName, InvariantViolation, RegistryFinalized, UnknownModelKind
 from .media import EXTENSION_FOR_MODALITY, render_placeholder
@@ -234,15 +235,6 @@ def manifest_json(response: FinalResponse) -> str:
 # --- stock executors -------------------------------------------------------
 
 
-def mock_executor(kind: str) -> Executor:
-    """Deterministic placeholder renderer for one kind."""
-
-    def run(prompt: str, seed: int) -> bytes:
-        return render_placeholder(kind, prompt, seed)
-
-    return run
-
-
 def command_executor(command: str, suffix: str, timeout: float = 60.0) -> Executor:
     """Shell out to a user executable: argv = [command, prompt, seed, out_path].
 
@@ -269,11 +261,25 @@ def command_executor(command: str, suffix: str, timeout: float = 60.0) -> Execut
     return run
 
 
+def registry_of(rows: Iterable[tuple[str, str, int, str | None]]) -> ModelRegistry:
+    """The finalized registry of (name, kind, priority, command) rows, in
+    order.  A row without a command renders deterministic placeholders; a
+    row with one runs it through command_executor with the extension of
+    the kind's output modality."""
+    registry = ModelRegistry()
+    for name, kind, priority, command in rows:
+        descriptor = ModelDescriptor(name, kind, priority)
+        if command is None:
+            executor = functools.partial(render_placeholder, kind)
+        else:
+            extension = EXTENSION_FOR_MODALITY[descriptor.output_modality]
+            executor = command_executor(command, extension)
+        registry.register(descriptor, executor)
+    return registry.finalize()
+
+
 def default_registry() -> ModelRegistry:
     """Three placeholder backends, one per generator kind, finalized."""
-    reg = ModelRegistry()
-    for modality in GENERATABLE_MODALITIES:
-        kind = kind_for_modality(modality)
-        desc = ModelDescriptor(f"placeholder-{modality.value}", kind)
-        reg.register(desc, mock_executor(kind))
-    return reg.finalize()
+    return registry_of(
+        (f"placeholder-{m.value}", kind_for_modality(m), 0, None) for m in GENERATABLE_MODALITIES
+    )

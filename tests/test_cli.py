@@ -510,6 +510,30 @@ def test_run_degraded_exit_1(tmp_path, capsys):
     assert manifest["artifacts"] == [] and manifest["diagnostics"]
 
 
+def test_run_empty_reply_exit_2_and_leaves_no_directory(tmp_path, capsys):
+    rules = {"rules": [{"respond": '{"text":"","invocations":[]}'}]}
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"registry": [{"name": "m-image", "kind": "text-to-image"}]}))
+    ws = tmp_path / "a" / "b" / "ws_empty"
+    argv = ["run", "--config", str(cfg_path), "--instruction", "hi", "--workspace", str(ws)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: EmptyMeta: no text and no invocations\n"
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_workers_below_one_exit_2_before_config_and_workspace(tmp_path, capsys, workers):
+    # the config does not exist, so a check after loading it would report that instead
+    ws = tmp_path / "ws"
+    argv = ["run", "--config", str(tmp_path / "missing.json"), "--instruction", "Go."]
+    assert main([*argv, "--workers", str(workers), "--workspace", str(ws)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: InvalidArgument: --workers must be >= 1, got {workers}\n"
+    )
+    assert not ws.exists()
+
+
 # --- gradcheck and params ------------------------------------------------------------
 
 

@@ -21,7 +21,9 @@ from modalkit.config import (
 )
 from modalkit.errors import ConfigError
 from modalkit.instruct import InstructionType
-from modalkit.meta import GENERATABLE_MODALITIES, Modality
+from modalkit.media import render_placeholder
+from modalkit.meta import GENERATABLE_MODALITIES, Invocation, MetaResponse, Modality
+from modalkit.zoo import execute_plan, route
 
 
 def minimal_doc(**overrides) -> dict:
@@ -139,6 +141,32 @@ def test_registry_priority_resolution(tmp_path):
     app = load_app_config(write_config(tmp_path, doc))
     registry = build_registry(app)
     assert registry.resolve("text-to-image").name == "fancy-image"
+
+
+def test_command_row_runs_its_command_and_a_mock_row_renders(tmp_path, monkeypatch):
+    sub = tmp_path / "nested"
+    sub.mkdir()
+    script = sub / "gen.sh"
+    script.write_text('#!/bin/sh\nprintf \'%s|%s|%s\' "$1" "$2" "$3" > "$3"\n')
+    script.chmod(0o755)
+    doc = minimal_doc(
+        registry=[
+            {"name": "cmd", "kind": "text-to-image", "backend": "command", "command": "gen.sh"},
+            {"name": "mock", "kind": "text-to-audio", "backend": "mock", "command": "gen.sh"},
+        ]
+    )
+    path = sub / "config.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)  # gen.sh is not in the working directory
+    registry = build_registry(load_app_config(path))
+    invocations = (Invocation("text-to-image", "a cat"), Invocation("text-to-audio", "a purr"))
+    meta = MetaResponse("", invocations)
+    response = execute_plan(route(meta, registry), registry, tmp_path / "ws", seed=6)
+    assert response.failures == ()
+    image, audio = [(tmp_path / "ws" / a.path).read_bytes() for a in response.artifacts]
+    prompt, seed, out_path = image.decode().split("|")
+    assert (prompt, seed) == ("a cat", "6") and out_path.endswith(".ppm")
+    assert audio == render_placeholder("text-to-audio", "a purr", 6 ^ 1)
 
 
 def test_command_backend_requires_command(tmp_path):

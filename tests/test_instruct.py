@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
+import os
 import re
 
 import pytest
@@ -269,6 +270,51 @@ def test_write_lone_surrogate_leaves_no_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_dataset([caption_pair("first"), bad], path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (dataclasses.replace(caption_pair("bad"), instruction="\ud800"), UnicodeEncodeError),
+        (caption_pair("first"), InvalidArgument),
+    ],
+    ids=["surrogate", "duplicate-id"],
+)
+def test_a_failed_write_leaves_an_existing_dataset_as_it_was(tmp_path, bad, error):
+    path = tmp_path / "x.jsonl"
+    write_dataset([caption_pair("first")], path)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_dataset([caption_pair("first"), bad], path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["x.jsonl"]
+
+
+def test_a_write_that_cannot_be_committed_leaves_the_dataset_as_it_was(tmp_path, monkeypatch):
+    path = tmp_path / "x.jsonl"
+    write_dataset([caption_pair("first")], path)
+    before = path.read_bytes()
+
+    def disk_full(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        write_dataset([caption_pair("second")], path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["x.jsonl"]
+
+
+def test_write_goes_through_a_symlink_at_the_target(tmp_path):
+    real = tmp_path / "data" / "pairs.jsonl"
+    real.parent.mkdir()
+    real.write_text("old\n")
+    link = tmp_path / "pairs.jsonl"
+    link.symlink_to(real)
+    write_dataset([caption_pair("first")], link)
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == pair_to_json(caption_pair("first")) + "\n"
+    assert os.listdir(real.parent) == ["pairs.jsonl"]
 
 
 def test_pair_json_is_single_canonical_line():

@@ -19,6 +19,7 @@ from modalkit.errors import (
     InvalidArgument,
     ModalityMismatch,
     ShapeMismatch,
+    TransportError,
 )
 from modalkit.instruct import Attachment
 from modalkit.media import render_placeholder
@@ -363,6 +364,64 @@ def test_a_request_fault_raises_before_the_workspace_is_touched(tmp_path, fault,
         run(req, default_registry(), Explosive(), ws)
     assert type(caught.value) is error and str(caught.value) == message
     assert _workspace_bytes(ws) == before
+
+
+class Unreachable:
+    def generate(self, instruction, modalities):
+        raise TransportError("endpoint unreachable")
+
+
+class WritesThenFails:
+    """Leaves a file in the workspace, the way a user hook could, then fails."""
+
+    def __init__(self, ws):
+        self.ws = ws
+
+    def generate(self, instruction, modalities):
+        (self.ws / "notes.txt").write_text("kept")
+        raise TransportError("endpoint unreachable")
+
+
+# A fault after the workspace is created and before its first write.
+FAILED_RUNS = {
+    "empty-reply": (
+        lambda ws: ScriptedBackend([ScriptedRule(respond='{"text":"","invocations":[]}')]),
+        EmptyMeta,
+    ),
+    "backend-raises": (lambda ws: Unreachable(), TransportError),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAILED_RUNS))
+def test_a_failed_run_removes_the_directories_it_created(tmp_path, fault):
+    make_backend, error = FAILED_RUNS[fault]
+    ws = tmp_path / "a" / "b" / "ws"
+    with pytest.raises(error):
+        run(UserRequest("Go."), default_registry(), make_backend(ws), ws)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault", list(FAILED_RUNS))
+def test_a_failed_run_leaves_an_earlier_runs_workspace_as_it_was(tmp_path, fault):
+    make_backend, error = FAILED_RUNS[fault]
+    ws = tmp_path / "ws"
+    run(cat_request(tmp_path), default_registry(), cat_backend(), ws, seed=5)
+    before = _workspace_bytes(ws)
+    with pytest.raises(error):
+        run(UserRequest("Go."), default_registry(), make_backend(ws), ws)
+    assert _workspace_bytes(ws) == before
+
+
+def test_a_failed_run_keeps_an_existing_parent_and_a_written_workspace(tmp_path):
+    parent = tmp_path / "runs"
+    parent.mkdir()
+    with pytest.raises(EmptyMeta):
+        run(UserRequest("Go."), default_registry(), FAILED_RUNS["empty-reply"][0](None), parent / "ws")
+    assert parent.is_dir() and list(parent.iterdir()) == []
+    ws = parent / "a" / "ws"
+    with pytest.raises(TransportError):
+        run(UserRequest("Go."), default_registry(), WritesThenFails(ws), ws)
+    assert _workspace_bytes(ws) == {"notes.txt": b"kept"}
 
 
 def test_an_attachments_faults_come_before_the_next_attachment(tmp_path):

@@ -22,7 +22,6 @@ from modalkit.zoo import (
     command_executor,
     default_registry,
     execute_plan,
-    mock_executor,
     route,
 )
 
@@ -290,10 +289,10 @@ def test_execute_plan_leaves_only_the_artifacts_its_manifest_lists(tmp_workspace
     assert listed == set() and (tmp_workspace / lookalike).read_bytes() == b"keep"
 
 
-def test_mock_executor_delegates_to_renderer():
+def test_placeholder_executor_delegates_to_renderer():
     from modalkit.media import render_placeholder
 
-    run = mock_executor("text-to-image")
+    run = default_registry().executor_for("placeholder-image")
     assert run("cat", 9) == render_placeholder("text-to-image", "cat", 9)
 
 
