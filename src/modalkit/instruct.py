@@ -17,6 +17,7 @@ import json
 import os
 import random
 import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -295,29 +296,48 @@ def _read_string_list(s: str, start: int, lineno: int) -> list[str]:
 
 
 def write_dataset(pairs: list[InstructionPair], path: str | Path) -> int:
-    """Write one canonical line per pair, in one pass, to a temporary file
-    beside the target, then rename it over the target (through a symlink
-    at path, as open() would).  The first faulty pair in order raises: a
-    text field that is not a string or a repeated id (InvalidArgument), or
-    a lone surrogate (UnicodeEncodeError).  Any failure, an OSError
-    included, removes the temporary file and leaves the target as it was."""
+    """Write one canonical line per pair, in one pass.  The first faulty
+    pair in order raises: a text field that is not a string or a repeated
+    id (InvalidArgument), or a lone surrogate (UnicodeEncodeError).
+
+    A missing or regular-file target (through a symlink at path, as open()
+    would) is written to a temporary file beside it, which takes the old
+    file's mode and is renamed over it; any failure, an OSError included,
+    removes the temporary file and leaves the target as it was.  The new
+    file does not keep the old one's owner or hard links.  Any other target
+    (a FIFO, a device, /dev/stdout) is written directly, so a failure may
+    leave part of the output in it."""
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_lines(pairs, fh)
+        return len(pairs)
     target = os.path.realpath(path)
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
-    seen: set[str] = set()
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            for pair in pairs:
-                line = pair_to_json(pair)  # names a non-string id before it is hashed
-                if pair.id in seen:
-                    raise InvalidArgument(f"duplicate pair id {pair.id!r}")
-                seen.add(pair.id)
-                fh.write(line + "\n")
+            _write_lines(pairs, fh)
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
     return len(pairs)
+
+
+def _write_lines(pairs: list[InstructionPair], fh) -> None:
+    seen: set[str] = set()
+    for pair in pairs:
+        line = pair_to_json(pair)  # names a non-string id before it is hashed
+        if pair.id in seen:
+            raise InvalidArgument(f"duplicate pair id {pair.id!r}")
+        seen.add(pair.id)
+        fh.write(line + "\n")
 
 
 def read_dataset(path: str | Path, mode: str = "strict") -> list[InstructionPair]:

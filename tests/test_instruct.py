@@ -7,6 +7,8 @@ import dataclasses
 import json
 import os
 import re
+import stat
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +317,28 @@ def test_write_goes_through_a_symlink_at_the_target(tmp_path):
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8") == pair_to_json(caption_pair("first")) + "\n"
     assert os.listdir(real.parent) == ["pairs.jsonl"]
+
+
+def test_a_rewrite_keeps_the_datasets_mode(tmp_path):
+    path = tmp_path / "x.jsonl"
+    write_dataset([caption_pair("first")], path)
+    os.chmod(path, 0o600)
+    write_dataset([caption_pair("second")], path)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    assert path.read_text(encoding="utf-8") == pair_to_json(caption_pair("second")) + "\n"
+
+
+def test_write_to_a_fifo_streams_into_it(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_dataset([caption_pair("first")], fifo)
+    reader.join(timeout=10)
+    assert received == [(pair_to_json(caption_pair("first")) + "\n").encode()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_pair_json_is_single_canonical_line():
