@@ -197,7 +197,7 @@ def run(
     workers: int = 1,
     include_timings: bool = True,
 ) -> tuple[FinalResponse, PipelineTrace]:
-    """Drive one request through every stage and write trace.json.
+    """Drive one request through every stage and write its workspace.
 
     The instruction is checked, then each attachment is checked and
     encoded in one pass, in order, and the inputs are projected; a fault
@@ -207,7 +207,10 @@ def run(
     chat request.  If anything from its creation to its first write
     raises (the backend, the lenient parse, routing), the run removes
     the directories it created, deepest first, and re-raises; one that
-    existed before the run, or is no longer empty, stays.
+    existed before the run, or is no longer empty, stays.  Then the run
+    alone writes the workspace: it sweeps the earlier manifest and
+    artifacts, writes this run's (none when degraded), trace.json, and
+    manifest.json last; an OSError there is InvalidArgument.
     Invocation-validation failures degrade to a text-only response.  The
     projection model is built once per distinct cfg value per process (a
     small bounded memo) and shared read-only by every later request with
@@ -269,32 +272,34 @@ def run(
 
         issues = [str(i) for i in validate_invocations(meta, registry)]
         record("validate_invocations", {"issues": issues})
-        plan = None if issues else route(meta, registry)
+        if not issues:
+            plan = route(meta, registry)
+            items = [{"model": i.invocation.model, "backend": i.descriptor.name} for i in plan.items]
+            record("route", {"items": items})
     except BaseException:
         for path in created:  # rmdir keeps a directory that is no longer empty
             with contextlib.suppress(OSError):
                 path.rmdir()
         raise
 
-    if issues:
-        response = FinalResponse(text=meta.text, diagnostics=tuple(issues))
-        trace.stages.append(
-            StageRecord("degraded", {"reason": "invocation validation failed"}, 0.0)
-        )
+    try:
         clear_artifacts(ws)
+        if issues:
+            response = FinalResponse(text=meta.text, diagnostics=tuple(issues))
+            trace.stages.append(
+                StageRecord("degraded", {"reason": "invocation validation failed"}, 0.0)
+            )
+        else:
+            response = execute_plan(plan, registry, ws, seed, workers=workers)
+            record(
+                "execute",
+                {
+                    "artifacts": [a.path for a in response.artifacts],
+                    "failures": [f.error for f in response.failures],
+                },
+            )
+        (ws / "trace.json").write_text(trace.to_json(include_timings), encoding="utf-8")
         (ws / "manifest.json").write_text(manifest_json(response), encoding="utf-8")
-    else:
-        items = [{"model": i.invocation.model, "backend": i.descriptor.name} for i in plan.items]
-        record("route", {"items": items})
-
-        response = execute_plan(plan, registry, ws, seed, workers=workers)
-        record(
-            "execute",
-            {
-                "artifacts": [a.path for a in response.artifacts],
-                "failures": [f.error for f in response.failures],
-            },
-        )
-
-    (ws / "trace.json").write_text(trace.to_json(include_timings), encoding="utf-8")
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write workspace {ws}: {exc}") from None
     return response, trace

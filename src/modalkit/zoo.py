@@ -3,7 +3,7 @@
 The registry maps backend names to executors behind the three generator
 kinds.  Routing turns a validated meta-response into an ordered plan;
 execution runs every plan item, isolates per-item failures, and writes
-artifacts plus a manifest into a workspace directory.
+the artifacts into a workspace that pipeline.run sweeps and commits.
 """
 
 from __future__ import annotations
@@ -152,12 +152,13 @@ _ARTIFACT_NAME = re.compile(
 
 
 def clear_artifacts(workspace: Path) -> None:
-    """Delete every file in workspace named the way artifact_name names
-    one, so a workspace never holds artifacts of an earlier run; any
-    other file stays."""
-    for entry in os.scandir(workspace):
-        if _ARTIFACT_NAME.fullmatch(entry.name):
-            os.unlink(entry.path)
+    """Delete workspace's manifest.json first, then every file named the
+    way artifact_name names one, so a workspace never holds artifacts of
+    an earlier run and a sweep that fails part-way leaves no manifest
+    describing it; any other file stays."""
+    names = [n for n in os.listdir(workspace) if n == "manifest.json" or _ARTIFACT_NAME.fullmatch(n)]
+    for name in sorted(names, key=lambda n: n != "manifest.json"):
+        os.unlink(os.path.join(workspace, name))
 
 
 def execute_plan(
@@ -167,22 +168,22 @@ def execute_plan(
     seed: int,
     workers: int = 1,
 ) -> FinalResponse:
-    """Run every plan item, replace the workspace's artifacts with this
-    plan's, and write manifest.json.
+    """Run every plan item and write its artifact into workspace, which
+    must exist; pipeline.run sweeps it before and writes the manifest.
 
     Item i runs with seed ^ i so repeated identical invocations in one
-    plan still get distinct bytes.  A failing backend is recorded and the
-    remaining items still run.  Items may run concurrently; the manifest
-    always lists results in plan order.
+    plan still get distinct bytes.  A backend that raises or returns no
+    bytes-like object is recorded and the remaining items still run.
+    Items may run concurrently; the response lists results in plan order.
     """
     ws = Path(workspace)
-    ws.mkdir(parents=True, exist_ok=True)
 
-    def run_item(pair: tuple[int, PlanItem]) -> tuple[int, bytes | None, str | None]:
+    def run_item(pair: tuple[int, PlanItem]) -> tuple[int, memoryview | None, str | None]:
         i, item = pair
         executor = registry.executor_for(item.descriptor.name)
         try:
-            return i, executor(item.invocation.prompt, (seed ^ i) & _SEED_MASK), None
+            # memoryview raises TypeError for a result write_bytes cannot write
+            return i, memoryview(executor(item.invocation.prompt, (seed ^ i) & _SEED_MASK)), None
         except Exception as exc:  # noqa: BLE001 - isolation boundary
             return i, None, f"{type(exc).__name__}: {exc}"
 
@@ -193,7 +194,6 @@ def execute_plan(
     else:
         results = [run_item(p) for p in indexed]
 
-    clear_artifacts(ws)
     artifacts: list[ArtifactRecord] = []
     failures: list[FailureRecord] = []
     for (i, item), (_, blob, err) in zip(indexed, results):
@@ -204,10 +204,7 @@ def execute_plan(
         name = artifact_name(i, inv.model, desc.output_modality)
         (ws / name).write_bytes(blob)
         artifacts.append(ArtifactRecord(i, desc.output_modality, name, desc.name, inv.prompt))
-
-    response = FinalResponse(plan.text, tuple(artifacts), tuple(failures))
-    (ws / "manifest.json").write_text(manifest_json(response), encoding="utf-8")
-    return response
+    return FinalResponse(plan.text, tuple(artifacts), tuple(failures))
 
 
 def manifest_json(response: FinalResponse) -> str:

@@ -147,7 +147,9 @@ def counting_registry() -> tuple[ModelRegistry, dict[str, CountingExecutor]]:
 
 @pytest.fixture
 def tmp_workspace(tmp_path):
-    return tmp_path / "ws"
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    return ws
 
 
 def tamper_backward(monkeypatch, delta: float) -> None:

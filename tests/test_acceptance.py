@@ -56,7 +56,7 @@ from modalkit.projection import (
     train_toy,
     uniform_enc_dims,
 )
-from modalkit.zoo import default_registry, execute_plan, route
+from modalkit.zoo import default_registry, execute_plan, manifest_json, route
 
 CAT_CANONICAL = (
     '{"text":"","invocations":[{"model":"text-to-image","prompt":"A photo of a cat"}]}'
@@ -239,6 +239,7 @@ def test_criterion_8_routing_conservation_and_determinism(capsys, tmp_path):
         for i, meta in enumerate(metas):
             total_invocations += len(meta.invocations)
             ws = tmp_path / f"run{i}"
+            ws.mkdir()
             response = execute_plan(route(meta, registry), registry, ws, seed=i)
             assert len(response.artifacts) == len(meta.invocations)
             assert response.failures == ()
@@ -252,16 +253,17 @@ def test_criterion_8_routing_conservation_and_determinism(capsys, tmp_path):
             assert [a.path for a in response.artifacts] == expected_names
             if i in resample:
                 stored[i] = (
-                    (ws / "manifest.json").read_bytes(),
+                    manifest_json(response),
                     {n: (ws / n).read_bytes() for n in expected_names},
                 )
         calls_made = sum(len(ex.calls) for ex in executors.values())
         assert calls_made == total_invocations
         for i in resample:
             ws = tmp_path / f"rerun{i}"
-            execute_plan(route(metas[i], registry), registry, ws, seed=i)
+            ws.mkdir()
+            response = execute_plan(route(metas[i], registry), registry, ws, seed=i)
             manifest, blobs = stored[i]
-            assert (ws / "manifest.json").read_bytes() == manifest
+            assert manifest_json(response) == manifest
             for name, blob in blobs.items():
                 assert (ws / name).read_bytes() == blob
         placeholder = default_registry()
@@ -270,8 +272,10 @@ def test_criterion_8_routing_conservation_and_determinism(capsys, tmp_path):
             pair = []
             for attempt in ("a", "b"):
                 ws = tmp_path / f"media{i}{attempt}"
-                execute_plan(route(meta, placeholder), placeholder, ws, seed=i)
-                pair.append(sorted((p.name, p.read_bytes()) for p in ws.iterdir()))
+                ws.mkdir()
+                response = execute_plan(route(meta, placeholder), placeholder, ws, seed=i)
+                files = sorted((p.name, p.read_bytes()) for p in ws.iterdir())
+                pair.append((manifest_json(response), files))
             assert pair[0] == pair[1]
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"took {elapsed:.3f}s"

@@ -418,6 +418,23 @@ def test_run_workspace_is_a_file_exit_2(tmp_path, capsys):
     assert ws.read_text() == "x"
 
 
+@pytest.mark.parametrize("taken", ["artifact_0_text-to-video.y4m", "manifest.json", "trace.json"])
+def test_run_workspace_write_error_exit_2_and_leaves_no_manifest(tmp_path, capsys, taken):
+    ws = tmp_path / "ws"
+    argv = ["run", "--instruction", "Generate a video of waves", "--workspace", str(ws)]
+    assert main(argv) == 0
+    assert (ws / "manifest.json").is_file()  # the earlier run's manifest is stale from here
+    (ws / taken).unlink()
+    (ws / taken).mkdir()
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: InvalidArgument: cannot write workspace {ws}: ")
+    assert err.count("\n") == 1
+    assert not (ws / "manifest.json").is_file()
+
+
 def test_run_directory_attachment_exit_2_before_workspace(tmp_path, capsys):
     folder = tmp_path / "dir.wav"
     folder.mkdir()

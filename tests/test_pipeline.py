@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
 
 from conftest import over_hostile_json
+from test_golden_bytes import _load_script
 from modalkit import chat, pipeline
 from modalkit.config import load_scripted_rules
 from modalkit.errors import (
@@ -41,7 +43,7 @@ from modalkit.projection import (
     uniform_enc_dims,
     write_embedding,
 )
-from modalkit.zoo import default_registry
+from modalkit.zoo import ModelDescriptor, ModelRegistry, default_registry
 
 CAT_CANONICAL = (
     '{"text":"","invocations":[{"model":"text-to-image","prompt":"A photo of a cat"}]}'
@@ -615,6 +617,12 @@ def test_stage_timings_tile_the_call(tmp_path, degraded):
 
 
 def test_a_workspace_holds_only_the_latest_runs_artifacts(tmp_path):
+    def boom(prompt: str, seed: int) -> bytes:
+        raise RuntimeError("down")
+
+    failing = ModelRegistry()
+    failing.register(ModelDescriptor("bad-image", "text-to-image"), boom)
+    failing.finalize()
     image_and_audio = (
         '{"text":"","invocations":[{"model":"text-to-image","prompt":"a cat"},'
         '{"model":"text-to-audio","prompt":"a purr"}]}'
@@ -623,12 +631,49 @@ def test_a_workspace_holds_only_the_latest_runs_artifacts(tmp_path):
     ws = tmp_path / "ws"
     ws.mkdir()
     (ws / "notes.txt").write_text("mine")
+    lookalike = "artifact_0_text-to-image.png"  # not a name artifact_name makes
+    (ws / lookalike).write_bytes(b"keep")
+    kept = {"notes.txt", lookalike, "manifest.json", "trace.json"}
     counts = []
-    for respond in (image_and_audio, video, HOLOGRAM):
+    for respond, registry in (
+        (image_and_audio, default_registry()),
+        (CAT_CANONICAL, failing),
+        (video, default_registry()),
+        (HOLOGRAM, default_registry()),
+    ):
         backend = ScriptedBackend([ScriptedRule(respond=respond)])
-        run(UserRequest("Go."), default_registry(), backend, ws, include_timings=False)
+        run(UserRequest("Go."), registry, backend, ws, include_timings=False)
         listed = {a["path"] for a in json.loads((ws / "manifest.json").read_text())["artifacts"]}
-        assert set(p.name for p in ws.iterdir()) == listed | {"notes.txt", "manifest.json", "trace.json"}
+        assert set(p.name for p in ws.iterdir()) == listed | kept
         counts.append(len(listed))
-    assert counts == [2, 1, 0]
+    assert counts == [2, 0, 1, 0]
     assert (ws / "notes.txt").read_text() == "mine"
+    assert (ws / lookalike).read_bytes() == b"keep"
+
+
+@pytest.mark.parametrize("taken", ["artifact_0_text-to-image.ppm", "trace.json"])
+def test_a_run_that_fails_after_the_sweep_leaves_no_manifest(tmp_path, taken):
+    ws = tmp_path / "ws"
+    run(cat_request(tmp_path), default_registry(), cat_backend(), ws, seed=5)
+    (ws / taken).unlink()
+    (ws / taken).mkdir()
+    with pytest.raises(InvalidArgument) as caught:
+        run(cat_request(tmp_path), default_registry(), cat_backend(), ws, seed=5)
+    assert str(caught.value).startswith(f"cannot write workspace {ws}: ")
+    assert not (ws / "manifest.json").exists()
+
+
+def test_demo_pipeline_script_runs_the_cat_scenario(tmp_path, monkeypatch, capsys):
+    ws = tmp_path / "demo"
+    monkeypatch.setattr("sys.argv", ["demo_pipeline.py", "--workspace", str(ws)])
+    assert _load_script("demo_pipeline").main() == 0
+    out = capsys.readouterr().out
+    manifest, rest = out.split("workspace: ", 1)
+    assert manifest == (ws / "manifest.json").read_text(encoding="utf-8")
+    assert rest.splitlines() == [str(ws), "stages: " + " -> ".join(SUCCESS_STAGES)]
+    assert sorted(os.listdir(ws)) == [
+        "artifact_0_text-to-image.ppm",
+        "cat_meowing.wav",
+        "manifest.json",
+        "trace.json",
+    ]

@@ -22,6 +22,7 @@ from modalkit.zoo import (
     command_executor,
     default_registry,
     execute_plan,
+    manifest_json,
     route,
 )
 
@@ -166,7 +167,7 @@ def test_execute_empty_plan(tmp_workspace):
     response = execute_plan(plan, registry, tmp_workspace, seed=0)
     assert response.text == "only text"
     assert response.artifacts == () and response.failures == ()
-    manifest = json.loads((tmp_workspace / "manifest.json").read_text())
+    manifest = json.loads(manifest_json(response))
     assert manifest["text"] == "only text"
     assert manifest["artifacts"] == []
 
@@ -177,6 +178,7 @@ def test_execute_single_image_seed7_deterministic(tmp_path):
     blobs = []
     for sub in ("one", "two"):
         ws = tmp_path / sub
+        ws.mkdir()
         response = execute_plan(route(meta, registry), registry, ws, seed=7)
         ppms = sorted(p.name for p in ws.glob("*.ppm"))
         assert ppms == ["artifact_0_text-to-image.ppm"]
@@ -243,8 +245,24 @@ def test_execute_isolates_failures(tmp_workspace):
     assert "BackendFailure" in failure.error and "fell over" in failure.error
     assert audio.calls == [("b", 1)]
     assert response.artifacts[0].path == "artifact_1_text-to-audio.wav"
-    manifest = json.loads((tmp_workspace / "manifest.json").read_text())
+    manifest = json.loads(manifest_json(response))
     assert len(manifest["failures"]) == 1
+
+
+@pytest.mark.parametrize("result", ["text", None, 5], ids=["str", "none", "int"])
+def test_execute_isolates_a_result_that_is_not_bytes(tmp_workspace, result):
+    reg = ModelRegistry()
+    reg.register(ModelDescriptor("odd-image", "text-to-image"), lambda prompt, seed: result)
+    reg.register(ModelDescriptor("ok-audio", "text-to-audio"), CountingExecutor("text-to-audio"))
+    meta = MetaResponse(
+        "", (Invocation("text-to-image", "a"), Invocation("text-to-audio", "b"))
+    )
+    response = execute_plan(route(meta, reg.finalize()), reg, tmp_workspace, seed=0)
+    manifest = json.loads(manifest_json(response))
+    assert [a["path"] for a in manifest["artifacts"]] == ["artifact_1_text-to-audio.wav"]
+    assert [f["index"] for f in manifest["failures"]] == [0]
+    assert manifest["failures"][0]["error"].startswith("BackendFailure: TypeError: ")
+    assert os.listdir(tmp_workspace) == ["artifact_1_text-to-audio.wav"]
 
 
 def test_execute_with_workers_matches_serial(tmp_path):
@@ -259,34 +277,14 @@ def test_execute_with_workers_matches_serial(tmp_path):
         ),
     )
     serial_ws, par_ws = tmp_path / "serial", tmp_path / "parallel"
+    serial_ws.mkdir()
+    par_ws.mkdir()
     serial = execute_plan(route(meta, registry), registry, serial_ws, seed=3, workers=1)
     parallel = execute_plan(route(meta, registry), registry, par_ws, seed=3, workers=4)
     assert [a.path for a in serial.artifacts] == [a.path for a in parallel.artifacts]
     for record in serial.artifacts:
         assert (serial_ws / record.path).read_bytes() == (par_ws / record.path).read_bytes()
-    assert (serial_ws / "manifest.json").read_text() == (par_ws / "manifest.json").read_text()
-
-
-def test_execute_plan_leaves_only_the_artifacts_its_manifest_lists(tmp_workspace):
-    def boom(prompt: str, seed: int) -> bytes:
-        raise RuntimeError("down")
-
-    failing = ModelRegistry()
-    failing.register(ModelDescriptor("bad-image", "text-to-image"), boom)
-    tmp_workspace.mkdir()
-    (tmp_workspace / "notes.txt").write_text("mine")
-    lookalike = "artifact_0_text-to-image.png"  # not a name artifact_name makes
-    (tmp_workspace / lookalike).write_bytes(b"keep")
-    for registry, kinds in (
-        (default_registry(), ["text-to-image", "text-to-audio"]),
-        (failing.finalize(), ["text-to-image"]),
-    ):
-        meta = MetaResponse("", tuple(Invocation(kind, "p") for kind in kinds))
-        execute_plan(route(meta, registry), registry, tmp_workspace, seed=0)
-        manifest = json.loads((tmp_workspace / "manifest.json").read_text())
-        listed = {a["path"] for a in manifest["artifacts"]}
-        assert set(os.listdir(tmp_workspace)) == listed | {"notes.txt", lookalike, "manifest.json"}
-    assert listed == set() and (tmp_workspace / lookalike).read_bytes() == b"keep"
+    assert manifest_json(serial) == manifest_json(parallel)
 
 
 def test_placeholder_executor_delegates_to_renderer():
