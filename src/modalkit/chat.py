@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import ConfigError, FixtureMiss, TransportError
 
 MODES = ("live", "record", "replay")
+_HTTP_PREFIXES = ("http://", "https://")  # urllib would also open file:, ftp: and data: URLs
 
 
 @dataclass
@@ -38,8 +39,8 @@ class ChatClientConfig:
             raise ConfigError(f"chat mode must be one of {MODES}, got {self.mode!r}")
         if self.mode in ("record", "replay") and not self.fixture_path:
             raise ConfigError(f"chat mode {self.mode!r} requires fixture_path")
-        if self.mode in ("live", "record") and not self.endpoint:
-            raise ConfigError(f"chat mode {self.mode!r} requires an endpoint")
+        if self.mode in ("live", "record") and not self.endpoint.lower().startswith(_HTTP_PREFIXES):
+            raise ConfigError(f"chat mode {self.mode!r} requires an http or https endpoint")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.timeout <= 0:
@@ -58,19 +59,27 @@ def request_fingerprint(payload: dict) -> str:
 
 
 def _http_post(url: str, headers: dict, payload: dict, timeout: float) -> str:
-    """The only network touchpoint in the package."""
-    import requests  # here, not at module top: only live and record modes load it
+    """The only network touchpoint in the package.  A 307 or 308 reply is
+    not followed; the body is decoded as UTF-8 (RFC 8259, section 8.1)."""
+    # here, not at module top: only live and record modes load them
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.request import Request, urlopen
 
     try:
-        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
+        request = Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
+        with urlopen(request, timeout=timeout) as resp:
+            status, body = resp.status, resp.read()
+    except HTTPError as exc:
+        exc.close()
+        status = exc.code
+    except (OSError, HTTPException, ValueError) as exc:
         raise TransportError(f"{type(exc).__name__}: {exc}") from None
-    status = resp.status_code
     if status != 200:
         # only throttling and server errors may pass on a later attempt
         retryable = status == 429 or status >= 500
         raise TransportError(f"endpoint returned {status}", retryable=retryable)
-    return resp.text
+    return body.decode("utf-8", errors="replace")
 
 
 class HttpTransport:

@@ -12,7 +12,6 @@ config ships inside the package and installs must stay read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from importlib.resources import files
 from pathlib import Path
 import json
 import sys
@@ -34,7 +33,7 @@ from .zoo import ModelRegistry, registry_of
 
 
 def data_dir() -> Path:
-    return Path(str(files("modalkit") / "data"))
+    return Path(__file__).resolve().parent / "data"
 
 
 def default_config_path() -> Path:

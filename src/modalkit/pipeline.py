@@ -79,10 +79,8 @@ class ScriptedBackend:
         self._rules = list(rules)
 
     def generate(self, instruction: str, modalities: tuple[Modality, ...]) -> str:
-        for rule in self._rules:
-            if rule.matches(instruction, modalities):
-                return rule.respond
-        raise AssertionError("unreachable: catch-all rule is enforced")
+        # the constructor enforces a catch-all, so some rule always matches
+        return next(r.respond for r in self._rules if r.matches(instruction, modalities))
 
 
 class ExternalBackend:

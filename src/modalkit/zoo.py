@@ -152,11 +152,12 @@ _ARTIFACT_NAME = re.compile(
 
 
 def clear_artifacts(workspace: Path) -> None:
-    """Delete workspace's manifest.json first, then every file named the
-    way artifact_name names one, so a workspace never holds artifacts of
-    an earlier run and a sweep that fails part-way leaves no manifest
-    describing it; any other file stays."""
-    names = [n for n in os.listdir(workspace) if n == "manifest.json" or _ARTIFACT_NAME.fullmatch(n)]
+    """Delete workspace's manifest.json first, then its trace.json and every
+    file named the way artifact_name names one, so a workspace never holds
+    the trace or artifacts of an earlier run and a sweep that fails
+    part-way leaves no manifest describing it; any other file stays."""
+    swept = ("manifest.json", "trace.json")
+    names = [n for n in os.listdir(workspace) if n in swept or _ARTIFACT_NAME.fullmatch(n)]
     for name in sorted(names, key=lambda n: n != "manifest.json"):
         os.unlink(os.path.join(workspace, name))
 

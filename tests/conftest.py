@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 import random
+import socketserver
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import strategies as st
@@ -164,6 +167,67 @@ def tamper_backward(monkeypatch, delta: float) -> None:
         return loss, grads
 
     monkeypatch.setattr(projection, "backward", backward)
+
+
+# --- loopback HTTP endpoint ----------------------------------------------------
+
+
+def send_reply(handler, status: int, body: bytes, content_type="application/json", headers=()):
+    """Answer one request with a status line, headers and body."""
+    handler.send_response(status)
+    handler.send_header("Content-Type", content_type)
+    handler.send_header("Content-Length", str(len(body)))
+    for name, value in headers:
+        handler.send_header(name, value)
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+class _RecordingHandler(BaseHTTPRequestHandler):
+    def do_POST(self) -> None:
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.seen.append((self.command, self.path, self.headers, body))
+        self.server.reply(self)
+
+    def log_message(self, format, *args) -> None:  # keep test output quiet
+        pass
+
+
+class Loopback(ThreadingHTTPServer):
+    """An HTTP server on 127.0.0.1 that records each request as (method,
+    path, headers, body) in seen and answers with reply(handler)."""
+
+    daemon_threads = False  # so server_close joins every handler thread
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _RecordingHandler)
+        self.seen: list = []
+        self.reply = lambda handler: send_reply(handler, 200, b"ok", "text/plain")
+        self.release = threading.Event()  # set at teardown; a stalling reply waits on it
+
+    def server_bind(self) -> None:
+        # HTTPServer.server_bind would also look the host name up
+        socketserver.TCPServer.server_bind(self)
+        self.server_name, self.server_port = self.server_address[:2]
+
+    def url(self, path: str = "/v1/chat/completions") -> str:
+        return f"http://127.0.0.1:{self.server_port}{path}"
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A running Loopback, shut down and closed at teardown."""
+    monkeypatch.setenv("no_proxy", "*")  # urllib honours *_proxy variables; stay on 127.0.0.1
+    server = Loopback()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.release.set()
+        server.shutdown()
+        thread.join(timeout=10)
+        server.server_close()
 
 
 # --- hostile JSON ------------------------------------------------------------

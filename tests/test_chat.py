@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-import requests
 
-from conftest import over_hostile_json
+from conftest import over_hostile_json, send_reply
 from modalkit import chat
 from modalkit.chat import (
     ChatClientConfig,
@@ -165,47 +165,139 @@ def test_http_transport_sends_bearer_token(monkeypatch):
     assert seen["Authorization"] == "Bearer secret-token"
 
 
-def test_http_post_maps_request_errors_to_transport_error(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise requests.ConnectionError("connection refused")
-
-    monkeypatch.setattr(requests, "post", refuse)
-    with pytest.raises(TransportError, match="ConnectionError: connection refused"):
-        chat._http_post("http://x", {}, {}, 1.0)
-    cfg = ChatClientConfig(endpoint="http://x", mode="live", max_retries=1, backoff_base=0.0)
-    with pytest.raises(TransportError, match="gave up after 2 attempts"):
-        HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
+def _closed_port_url() -> str:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/chat/completions"
 
 
-class FakeResponse:
-    def __init__(self, status_code: int) -> None:
-        self.status_code = status_code
-        self.text = "body"
+def _truncated_body(handler) -> None:
+    handler.send_response(200)
+    handler.send_header("Content-Length", "100")
+    handler.end_headers()
+    handler.wfile.write(b"only ten b")
+
+
+def _garbage_status_line(handler) -> None:
+    handler.wfile.write(b"garbage\r\n\r\n")
+
+
+def _stall(handler) -> None:
+    handler.server.release.wait(10)
 
 
 @pytest.mark.parametrize(
-    "status, attempts", [(400, 1), (401, 1), (404, 1), (429, 4), (500, 4), (503, 4)]
+    "url, reply, retries, error",
+    [
+        ("closed-port", None, 1, "URLError"),
+        ("loopback", _stall, 0, "TimeoutError"),  # the only row that waits, for 0.2 s
+        ("loopback", _truncated_body, 1, "IncompleteRead"),
+        ("loopback", _garbage_status_line, 1, "BadStatusLine"),
+        ("127.0.0.1/v1/chat/completions", None, 1, "ValueError"),
+    ],
+    ids=["closed-port", "timeout", "truncated-body", "bad-status-line", "no-scheme"],
 )
-def test_http_transport_retries_only_throttling_and_server_errors(monkeypatch, status, attempts):
-    posts, sleeps = [], []
-    monkeypatch.setattr(requests, "post", lambda url, **kw: posts.append(url) or FakeResponse(status))
+def test_http_post_maps_request_errors_to_transport_error(
+    loopback, monkeypatch, url, reply, retries, error
+):
+    sleeps = []
     monkeypatch.setattr(chat.time, "sleep", sleeps.append)
-    cfg = ChatClientConfig(endpoint="http://x", mode="live", max_retries=3)
+    if reply is not None:
+        loopback.reply = reply
+    endpoint = {"closed-port": _closed_port_url(), "loopback": loopback.url()}.get(url, url)
+    cfg = ChatClientConfig(endpoint=endpoint, mode="live", max_retries=retries, timeout=0.2)
+    with pytest.raises(TransportError, match=f"gave up after {retries + 1} attempts: {error}: "):
+        HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
+    assert len(loopback.seen) == (retries + 1 if reply is not None else 0)
+    assert sleeps == [0.5 * 2**i for i in range(retries)]
+
+
+@pytest.mark.parametrize(
+    "status, attempts",
+    [(201, 1), (307, 1), (400, 1), (401, 1), (404, 1), (429, 4), (500, 4), (503, 4)],
+)
+def test_http_transport_retries_only_throttling_and_server_errors(
+    loopback, monkeypatch, status, attempts
+):
+    sleeps = []
+    monkeypatch.setattr(chat.time, "sleep", sleeps.append)
+    elsewhere = [("Location", loopback.url("/elsewhere"))]  # a followed redirect shows in seen
+    loopback.reply = lambda handler: send_reply(handler, status, b"body", headers=elsewhere)
+    cfg = ChatClientConfig(endpoint=loopback.url(), mode="live", max_retries=3)
     with pytest.raises(TransportError, match=f"endpoint returned {status}"):
         HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
-    assert len(posts) == attempts
+    assert [seen[:2] for seen in loopback.seen] == [("POST", "/v1/chat/completions")] * attempts
     assert sleeps == [0.5 * 2**i for i in range(attempts - 1)]
 
 
-def test_cli_import_does_not_load_requests():
+def test_live_exchange_posts_the_payload_and_returns_the_content(loopback):
+    content = "Un chat 🐱 sur le canapé"
+    envelope = json.dumps({"choices": [{"message": {"content": content}}]}, ensure_ascii=False)
+    loopback.reply = lambda handler: send_reply(handler, 200, envelope.encode("utf-8"))
+    cfg = ChatClientConfig(endpoint=loopback.url(), mode="live", model="m1")
+    assert complete(HttpTransport(cfg, "secret-token"), cfg, "Décris ✓") == content
+    [(method, path, headers, body)] = loopback.seen
+    assert (method, path) == ("POST", "/v1/chat/completions")
+    assert headers["Authorization"] == "Bearer secret-token"
+    assert headers["Content-Type"] == "application/json"
+    assert body == json.dumps(chat_payload("m1", "Décris ✓")).encode()
+
+
+def test_http_post_decodes_any_body_as_utf8_with_replacement(loopback):
+    body = "é".encode("utf-8") + b"\xff"
+    loopback.reply = lambda handler: send_reply(handler, 200, body, "text/plain")
+    assert chat._http_post(loopback.url(), {}, {}, 5.0) == "é\ufffd"
+
+
+def test_record_over_loopback_then_replay(loopback, monkeypatch, tmp_path):
+    monkeypatch.setenv("MODALKIT_API_TOKEN", "super-secret-value")
+    bodies = iter([b"first", "zweite Antwort ✓".encode("utf-8")])
+    loopback.reply = lambda handler: send_reply(handler, 200, next(bodies), "text/plain")
+    path = tmp_path / "fixture.json"
+    recorder = build_transport(
+        ChatClientConfig(endpoint=loopback.url(), mode="record", fixture_path=str(path))
+    )
+    payloads = [chat_payload("m", "p"), chat_payload("m", "q")]
+    sent = [recorder.send(payload) for payload in payloads]
+    assert sent == ["first", "zweite Antwort ✓"]
+    assert len(loopback.seen) == 2
+    assert "super-secret-value" not in path.read_text(encoding="utf-8")
+    replay = ReplayTransport(path)
+    assert [replay.send(payload) for payload in payloads] == sent
+
+
+def _package_env() -> dict:
     import modalkit
 
-    env = dict(os.environ, PYTHONPATH=str(Path(modalkit.__file__).parents[1]))
-    code = "import sys, modalkit.cli; print('requests' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return dict(os.environ, PYTHONPATH=str(Path(modalkit.__file__).parents[1]))
+
+
+def test_live_exchange_runs_without_requests(loopback):
+    loopback.reply = lambda handler: send_reply(handler, 200, b'{"content": "pong"}')
+    code = (
+        "import sys\n"
+        "sys.modules['requests'] = None  # any import of it now fails\n"
+        "from modalkit.chat import ChatClientConfig, HttpTransport, complete\n"
+        f"cfg = ChatClientConfig(endpoint={loopback.url()!r}, mode='live')\n"
+        "print(complete(HttpTransport(cfg, 'tok'), cfg, 'ping'))\n"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "pong\n", "")
+    assert len(loopback.seen) == 1
+
+
+def test_cli_import_does_not_load_requests():
+    code = (
+        "import sys, modalkit.cli; "
+        "print([m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_package_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_build_transport_replay_requires_existing_fixture(tmp_path):
@@ -243,6 +335,26 @@ def test_token_never_lands_in_fixture(monkeypatch, tmp_path):
     cfg = ChatClientConfig(endpoint="http://x", mode="record", fixture_path=str(path))
     build_transport(cfg).send(chat_payload("m", "p"))
     assert "super-secret-value" not in path.read_text()
+
+
+@pytest.mark.parametrize("mode", ["live", "record"])
+@pytest.mark.parametrize(
+    "endpoint", ["", "file:///etc/hostname", "ftp://127.0.0.1/x", "data:,hi", "127.0.0.1:8080/v1"]
+)
+def test_non_http_endpoint_is_config_error_before_any_request(
+    monkeypatch, tmp_path, mode, endpoint
+):
+    monkeypatch.setenv("MODALKIT_API_TOKEN", "tok")
+    called = []
+    monkeypatch.setattr(chat, "_http_post", lambda *a, **k: called.append(1))
+    cfg = ChatClientConfig(endpoint=endpoint, mode=mode, fixture_path=str(tmp_path / "f.json"))
+    with pytest.raises(ConfigError, match=f"mode '{mode}' requires an http or https endpoint$"):
+        build_transport(cfg)
+    assert called == []
+
+
+def test_endpoint_scheme_is_case_insensitive():
+    ChatClientConfig(mode="live", endpoint="HTTPS://api.example/v1").validate()
 
 
 def test_config_validation_errors(tmp_path):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import HOSTILE_JSON, tamper_backward
+from conftest import HOSTILE_JSON, send_reply, tamper_backward
 from modalkit import chat
 from modalkit.cli import main
 from modalkit.config import data_dir
@@ -49,6 +51,16 @@ def test_unknown_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["parse-meta", "--bogus"])
     assert excinfo.value.code == 2
+
+
+def test_python_dash_m_exits_through_the_console_entrypoint(tmp_path):
+    import modalkit
+
+    env = dict(os.environ, PYTHONPATH=str(Path(modalkit.__file__).parents[1]))
+    argv = [sys.executable, "-m", "modalkit", "parse-meta", "--file", str(tmp_path / "missing")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
 
 
 # --- parse-meta -------------------------------------------------------------------
@@ -187,6 +199,30 @@ def test_generate_llm_rejects_unwritable_out_before_any_request(
     assert sent == []
 
 
+def test_generate_llm_without_a_chat_section_exit_2(tmp_path, capsys):
+    config = _bundled_config_copy(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["chat"] = None
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "pairs.jsonl"
+    argv = ["generate-instructions", "--config", str(config), "--mode", "llm", "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+    out, err = capsys.readouterr()
+    assert err == "error: InvalidArgument: llm mode needs a chat section in the config\n"
+    assert out == ""
+
+
+def test_generate_llm_write_error_exit_2(tmp_path, capsys):
+    out = tmp_path / "pairs.jsonl"
+    out.symlink_to(tmp_path / "gone" / "pairs.jsonl")  # passes the early check, fails the write
+    assert main(["generate-instructions", "--mode", "llm", "--n", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidArgument: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "gone").exists()
+
+
 def test_generate_llm_failure_leaves_existing_out_untouched(tmp_path, capsys):
     fixture = tmp_path / "empty_fixture.json"
     fixture.write_text(json.dumps({"version": 1, "responses": {}}))
@@ -231,6 +267,14 @@ def test_validate_dataset_clean(tmp_path, capsys):
     path = sample_dataset(tmp_path)
     assert main(["validate-dataset", "--in", str(path)]) == 0
     assert "checked 5 pairs, 0 invalid" in capsys.readouterr().out
+
+
+def test_validate_dataset_skips_blank_lines(tmp_path, capsys):
+    path = sample_dataset(tmp_path, n=2)
+    first, second = path.read_text().splitlines(keepends=True)
+    path.write_text(first + "\n  \n" + second)
+    assert main(["validate-dataset", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "checked 2 pairs, 0 invalid\n"
 
 
 def test_validate_dataset_reports_bad_line(tmp_path, capsys):
@@ -376,6 +420,43 @@ def test_run_cat_scenario(tmp_path, capsys):
     assert (ws / "trace.json").exists()
 
 
+def _live_chat_config(tmp_path, endpoint: str) -> Path:
+    config = _bundled_config_copy(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["language_backend"] = "external"
+    doc["chat"].update(endpoint=endpoint, mode="live", fixture_path=None)
+    config.write_text(json.dumps(doc))
+    return config
+
+
+def test_run_with_an_external_backend_over_loopback(tmp_path, capsys, monkeypatch, loopback):
+    monkeypatch.setenv("MODALKIT_API_TOKEN", "tok")
+    loopback.reply = lambda handler: send_reply(handler, 200, CAT_CANONICAL.encode("utf-8"))
+    config = _live_chat_config(tmp_path, loopback.url())
+    ws = tmp_path / "ws"
+    argv = ["run", "--config", str(config), "--instruction", "Draw a cat.", "--workspace", str(ws)]
+    assert main(argv) == 0
+    manifest = json.loads(capsys.readouterr().out)
+    assert [a["path"] for a in manifest["artifacts"]] == ["artifact_0_text-to-image.ppm"]
+    [(method, _, _, body)] = loopback.seen
+    assert method == "POST" and b"Instruction: Draw a cat." in body
+
+
+def test_run_with_a_file_endpoint_exit_2_before_any_request(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MODALKIT_API_TOKEN", "tok")
+    called = []
+    monkeypatch.setattr(chat, "_http_post", lambda *a, **k: called.append(1))
+    config = _live_chat_config(tmp_path, "file:///nonexistent/hostname")
+    ws = tmp_path / "ws"
+    argv = ["run", "--config", str(config), "--instruction", "Draw a cat.", "--workspace", str(ws)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: ConfigError: config {config} is invalid:\n"
+        "  chat: chat mode 'live' requires an http or https endpoint\n"
+    )
+    assert called == [] and not ws.exists()
+
+
 def test_run_missing_attachment_exit_2(tmp_path, capsys):
     code = main(
         [
@@ -433,6 +514,8 @@ def test_run_workspace_write_error_exit_2_and_leaves_no_manifest(tmp_path, capsy
     assert err.startswith(f"error: InvalidArgument: cannot write workspace {ws}: ")
     assert err.count("\n") == 1
     assert not (ws / "manifest.json").is_file()
+    # the sweep stops at its first failure: a directory at manifest.json keeps the old trace
+    assert (ws / "trace.json").is_file() == (taken == "manifest.json")
 
 
 def test_run_directory_attachment_exit_2_before_workspace(tmp_path, capsys):

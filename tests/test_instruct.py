@@ -219,6 +219,13 @@ def test_empty_dataset_round_trip(tmp_path):
     assert read_dataset(path) == []
 
 
+def test_read_dataset_refuses_an_unknown_mode(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    with pytest.raises(ValueError, match="unknown read mode 'bogus'"):
+        read_dataset(path, mode="bogus")
+
+
 def test_write_rejects_duplicate_ids(tmp_path):
     with pytest.raises(InvalidArgument):
         write_dataset([caption_pair("same"), caption_pair("same")], tmp_path / "x.jsonl")
@@ -892,6 +899,16 @@ def test_llm_replay_three_valid_one_malformed(tmp_path):
     assert report.rejected[0].lineno == 2
     assert report.shortfall == 0
     assert report.requests_issued == 1
+
+
+def test_llm_reply_lines_past_n_are_skipped_not_rejected(tmp_path):
+    cfg = llm_cfg(tmp_path)
+    bundle = small_bundle()
+    body = "\n".join([valid_line("a"), valid_line("b"), valid_line("c"), "{broken"])
+    fixture_for_query(cfg, bundle, [body], tmp_path / "fixture.json")
+    pairs, report = generate_pairs_llm(cfg, bundle, n=2)
+    assert [p.id for p in pairs] == ["a", "b"]
+    assert report.rejected == [] and report.shortfall == 0 and report.requests_issued == 1
 
 
 def test_llm_rejects_invalid_pairs_not_just_malformed(tmp_path):

@@ -661,6 +661,7 @@ def test_a_run_that_fails_after_the_sweep_leaves_no_manifest(tmp_path, taken):
         run(cat_request(tmp_path), default_registry(), cat_backend(), ws, seed=5)
     assert str(caught.value).startswith(f"cannot write workspace {ws}: ")
     assert not (ws / "manifest.json").exists()
+    assert not (ws / "trace.json").is_file()
 
 
 def test_demo_pipeline_script_runs_the_cat_scenario(tmp_path, monkeypatch, capsys):
