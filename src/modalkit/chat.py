@@ -59,16 +59,19 @@ def request_fingerprint(payload: dict) -> str:
 
 
 def _http_post(url: str, headers: dict, payload: dict, timeout: float) -> str:
-    """The only network touchpoint in the package.  A 307 or 308 reply is
-    not followed; the body is decoded as UTF-8 (RFC 8259, section 8.1)."""
+    """The only network touchpoint in the package.  It follows no redirect."""
     # here, not at module top: only live and record modes load them
     from http.client import HTTPException
     from urllib.error import HTTPError
-    from urllib.request import Request, urlopen
+    from urllib.request import HTTPRedirectHandler, Request, build_opener
+
+    class NoRedirect(HTTPRedirectHandler):  # a 3xx then raises HTTPError with its status
+        def redirect_request(self, *args):
+            return None
 
     try:
         request = Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
-        with urlopen(request, timeout=timeout) as resp:
+        with build_opener(NoRedirect).open(request, timeout=timeout) as resp:
             status, body = resp.status, resp.read()
     except HTTPError as exc:
         exc.close()
@@ -79,7 +82,7 @@ def _http_post(url: str, headers: dict, payload: dict, timeout: float) -> str:
         # only throttling and server errors may pass on a later attempt
         retryable = status == 429 or status >= 500
         raise TransportError(f"endpoint returned {status}", retryable=retryable)
-    return body.decode("utf-8", errors="replace")
+    return body.decode("utf-8", errors="replace")  # JSON is UTF-8 (RFC 8259, section 8.1)
 
 
 class HttpTransport:

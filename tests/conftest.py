@@ -7,6 +7,7 @@ two independent routes to the same answer.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import socketserver
@@ -189,6 +190,8 @@ class _RecordingHandler(BaseHTTPRequestHandler):
         self.server.seen.append((self.command, self.path, self.headers, body))
         self.server.reply(self)
 
+    do_GET = do_POST  # so a redirect-turned-GET shows in seen too
+
     def log_message(self, format, *args) -> None:  # keep test output quiet
         pass
 
@@ -214,10 +217,9 @@ class Loopback(ThreadingHTTPServer):
         return f"http://127.0.0.1:{self.server_port}{path}"
 
 
-@pytest.fixture
-def loopback(monkeypatch):
-    """A running Loopback, shut down and closed at teardown."""
-    monkeypatch.setenv("no_proxy", "*")  # urllib honours *_proxy variables; stay on 127.0.0.1
+@contextlib.contextmanager
+def serving_loopback():
+    """A running Loopback, shut down and closed on exit."""
     server = Loopback()
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
     thread.start()
@@ -228,6 +230,14 @@ def loopback(monkeypatch):
         server.shutdown()
         thread.join(timeout=10)
         server.server_close()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A running Loopback for one test."""
+    monkeypatch.setenv("no_proxy", "*")  # urllib honours *_proxy variables; stay on 127.0.0.1
+    with serving_loopback() as server:
+        yield server
 
 
 # --- hostile JSON ------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import over_hostile_json, send_reply
+from conftest import over_hostile_json, send_reply, serving_loopback
 from modalkit import chat
 from modalkit.chat import (
     ChatClientConfig,
@@ -188,25 +188,25 @@ def _stall(handler) -> None:
 
 
 @pytest.mark.parametrize(
-    "url, reply, retries, error",
+    "url, reply, retries, timeout, error",
     [
-        ("closed-port", None, 1, "URLError"),
-        ("loopback", _stall, 0, "TimeoutError"),  # the only row that waits, for 0.2 s
-        ("loopback", _truncated_body, 1, "IncompleteRead"),
-        ("loopback", _garbage_status_line, 1, "BadStatusLine"),
-        ("127.0.0.1/v1/chat/completions", None, 1, "ValueError"),
+        ("closed-port", None, 1, 5.0, "URLError"),
+        ("loopback", _stall, 0, 0.2, "TimeoutError"),  # the only row that waits, for 0.2 s
+        ("loopback", _truncated_body, 1, 5.0, "IncompleteRead"),
+        ("loopback", _garbage_status_line, 1, 5.0, "BadStatusLine"),
+        ("127.0.0.1/v1/chat/completions", None, 1, 5.0, "ValueError"),
     ],
     ids=["closed-port", "timeout", "truncated-body", "bad-status-line", "no-scheme"],
 )
 def test_http_post_maps_request_errors_to_transport_error(
-    loopback, monkeypatch, url, reply, retries, error
+    loopback, monkeypatch, url, reply, retries, timeout, error
 ):
     sleeps = []
     monkeypatch.setattr(chat.time, "sleep", sleeps.append)
     if reply is not None:
         loopback.reply = reply
     endpoint = {"closed-port": _closed_port_url(), "loopback": loopback.url()}.get(url, url)
-    cfg = ChatClientConfig(endpoint=endpoint, mode="live", max_retries=retries, timeout=0.2)
+    cfg = ChatClientConfig(endpoint=endpoint, mode="live", max_retries=retries, timeout=timeout)
     with pytest.raises(TransportError, match=f"gave up after {retries + 1} attempts: {error}: "):
         HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
     assert len(loopback.seen) == (retries + 1 if reply is not None else 0)
@@ -215,7 +215,10 @@ def test_http_post_maps_request_errors_to_transport_error(
 
 @pytest.mark.parametrize(
     "status, attempts",
-    [(201, 1), (307, 1), (400, 1), (401, 1), (404, 1), (429, 4), (500, 4), (503, 4)],
+    [
+        (201, 1), (301, 1), (302, 1), (303, 1), (307, 1), (308, 1),
+        (400, 1), (401, 1), (404, 1), (429, 4), (500, 4), (503, 4),
+    ],
 )
 def test_http_transport_retries_only_throttling_and_server_errors(
     loopback, monkeypatch, status, attempts
@@ -229,6 +232,25 @@ def test_http_transport_retries_only_throttling_and_server_errors(
         HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
     assert [seen[:2] for seen in loopback.seen] == [("POST", "/v1/chat/completions")] * attempts
     assert sleeps == [0.5 * 2**i for i in range(attempts - 1)]
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+@pytest.mark.parametrize("target", ["other-server", "ftp", "file"])
+def test_no_redirect_is_followed_so_the_token_stays_with_the_endpoint(loopback, status, target):
+    with serving_loopback() as other:
+        location = {
+            "other-server": other.url(),
+            "ftp": "ftp://127.0.0.1:9/x",
+            "file": "file:///etc/hostname",
+        }[target]
+        elsewhere = [("Location", location)]
+        loopback.reply = lambda handler: send_reply(handler, status, b"", headers=elsewhere)
+        cfg = ChatClientConfig(endpoint=loopback.url(), mode="live")
+        with pytest.raises(TransportError, match=f"^endpoint returned {status}$") as excinfo:
+            HttpTransport(cfg, "secret-token").send(chat_payload("m", "p"))
+    assert not excinfo.value.retryable
+    assert len(loopback.seen) == 1
+    assert other.seen == []
 
 
 def test_live_exchange_posts_the_payload_and_returns_the_content(loopback):
