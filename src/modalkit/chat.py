@@ -16,6 +16,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .errors import ConfigError, FixtureMiss, TransportError
 
@@ -39,8 +40,16 @@ class ChatClientConfig:
             raise ConfigError(f"chat mode must be one of {MODES}, got {self.mode!r}")
         if self.mode in ("record", "replay") and not self.fixture_path:
             raise ConfigError(f"chat mode {self.mode!r} requires fixture_path")
-        if self.mode in ("live", "record") and not self.endpoint.lower().startswith(_HTTP_PREFIXES):
-            raise ConfigError(f"chat mode {self.mode!r} requires an http or https endpoint")
+        if self.mode in ("live", "record"):
+            if not self.endpoint.lower().startswith(_HTTP_PREFIXES):
+                raise ConfigError(f"chat mode {self.mode!r} requires an http or https endpoint")
+            try:
+                parts = urlsplit(self.endpoint)
+                parts.port  # raises unless the port is a number in 0-65535
+            except ValueError as exc:
+                raise ConfigError(f"chat endpoint {self.endpoint!r} does not parse: {exc}") from None
+            if not parts.hostname:
+                raise ConfigError(f"chat endpoint {self.endpoint!r} names no host")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
         if self.timeout <= 0:
@@ -61,7 +70,7 @@ def request_fingerprint(payload: dict) -> str:
 def _http_post(url: str, headers: dict, payload: dict, timeout: float) -> str:
     """The only network touchpoint in the package.  It follows no redirect."""
     # here, not at module top: only live and record modes load them
-    from http.client import HTTPException
+    from http.client import HTTPException, InvalidURL
     from urllib.error import HTTPError
     from urllib.request import HTTPRedirectHandler, Request, build_opener
 
@@ -76,7 +85,9 @@ def _http_post(url: str, headers: dict, payload: dict, timeout: float) -> str:
     except HTTPError as exc:
         exc.close()
         status = exc.code
-    except (OSError, HTTPException, ValueError) as exc:
+    except (ValueError, InvalidURL) as exc:  # a URL or header that no retry can mend
+        raise TransportError(f"{type(exc).__name__}: {exc}", retryable=False) from None
+    except (OSError, HTTPException) as exc:
         raise TransportError(f"{type(exc).__name__}: {exc}") from None
     if status != 200:
         # only throttling and server errors may pass on a later attempt

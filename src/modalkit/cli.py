@@ -132,8 +132,11 @@ def cmd_generate_instructions(args) -> int:
     if args.n < 1:
         raise InvalidArgument(f"--n must be >= 1, got {args.n}")
     out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():
-        raise InvalidArgument(f"cannot write {out}: not a file in an existing directory")
+    try:
+        if out.is_dir() or not out.parent.is_dir():
+            raise InvalidArgument(f"cannot write {out}: not a file in an existing directory")
+    except OSError as exc:  # is_dir re-raises all but a missing path, e.g. a name too long
+        raise InvalidArgument(f"cannot write {out}: {exc}") from None
     app = load_app_config(args.config)
     seed = app.seed if args.seed is None else args.seed
     seeds, candidates, references = load_instruct_corpus(app)

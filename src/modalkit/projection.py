@@ -9,7 +9,9 @@ check them against central finite differences.
 
 from __future__ import annotations
 
+import hashlib
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +38,14 @@ MVEC_VERSION = 1
 
 MODALITY_CODES = {Modality.IMAGE: 0, Modality.AUDIO: 1, Modality.VIDEO: 2}
 _CODE_MODALITIES = {v: k for k, v in MODALITY_CODES.items()}
+
+# fnv1a64 of each content encode_stub has seen in this process, keyed by
+# its SHA-256 digest, which costs about a tenth of FNV-1a per byte, and
+# unlike a (path, size, mtime) key cannot go stale.  The memo holds no
+# attachment bytes; it is emptied whole when full.
+_FNV_MEMO_MAX = 1024
+_fnv_memo: dict[bytes, int] = {}
+_fnv_memo_lock = threading.Lock()
 
 
 @dataclass(eq=False)
@@ -70,12 +80,25 @@ def encode_stub(data: bytes, modality: Modality, dim: int, seed: int) -> Embeddi
         raise InvalidArgument(f"dim must be >= 1, got {dim}")
     if modality not in MODALITY_CODES:
         raise InvalidArgument(f"no encoder for modality {modality}")
-    stream = SplitMix64(mix64(fnv1a64(data), MODALITY_CODES[modality], seed))
+    stream = SplitMix64(mix64(_memo_fnv1a64(data), MODALITY_CODES[modality], seed))
     while True:
         vec = np.array(stream.unit_floats(dim), dtype=np.float64)
         norm = float(np.linalg.norm(vec))
         if norm > 1e-9:
             return EmbeddingVector(modality, vec / norm)
+
+
+def _memo_fnv1a64(data: bytes) -> int:
+    """fnv1a64(data), hashed once per distinct content per process."""
+    key = hashlib.sha256(data).digest()
+    value = _fnv_memo.get(key)
+    if value is None:
+        value = fnv1a64(data)
+        with _fnv_memo_lock:  # the size check and the insert act as one
+            if len(_fnv_memo) >= _FNV_MEMO_MAX:
+                _fnv_memo.clear()
+            _fnv_memo[key] = value
+    return value
 
 
 def write_embedding(vec: EmbeddingVector, path: str | Path) -> None:

@@ -10,21 +10,25 @@ unit_floats compute a whole block of draws as one numpy uint64
 expression.  The block equals k scalar next_u64 calls byte for byte,
 and the stream continues exactly where those calls would leave it.
 
-fnv1a64 hashes inputs of 4 KiB or more in numpy and returns exactly the
+fnv1a64 hashes inputs of 2 KiB or more in numpy and returns exactly the
 value of the byte loop.  One step is h' = (h ^ b) * P mod 2^64.  That
 map is a T-function (Klimov & Shamir, "A New Class of Invertible
 Mappings", CHES 2002): bit k of h' depends only on bits 0..k of h and b.
 So the low byte L of the state evolves on its own, and bit k of the next
-L is bit k of L, xor bit k of b, xor bit k of ((L ^ b) mod 2^k) * P.
-With bits 0..k-1 known at every position, bit k over the whole input is
-one running xor, so eight passes give L everywhere.  The running xor
-packs the bits into uint64 words, takes the prefix inside each word with
-shifts of 1, 2, 4, 8, 16 and 32, and carries across words with one
-accumulate.  With L known, h ^ b = h + d for d = (L ^ b) - L, so after m
-bytes h = h0 * P^m + sum of d_i * P^(m-i) mod 2^64: one wrapping uint64
-dot product against a table of powers of P.  The input goes through in
-64 KiB chunks, carrying h, so temporaries stay under 1 MiB.  Shorter
-inputs stay on the loop, which is faster below a few KiB.
+L is bit k of (L ^ b) * P.  P is odd, so that bit is bit k of L, xor bit
+k of b, xor a carry from bits 0..k-1.  While bits 0..k-1 of L are known
+at every position and bits k and up are still zero, bit k of the product
+is the flip of L's bit k; at the first byte, where L is known whole, it
+is the next L's bit k, which starts the scan.  So bit k over the whole
+input is one running xor, and eight passes give L everywhere.  The
+running xor packs the bits into uint64 words, takes the prefix inside
+each word with shifts of 1, 2, 4, 8, 16 and 32, and carries across words
+with one accumulate.  With L known, h ^ b = h + d for d = (L ^ b) - L,
+so after m bytes h = h0 * P^m + sum of d_i * P^(m-i) mod 2^64: one
+wrapping uint64 dot product against a table of powers of P.  The input
+goes through in 64 KiB chunks, carrying h, so temporaries stay under
+1 MiB.  Shorter inputs stay on the loop, which is faster below about
+2 KiB.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ _FNV_PRIME = 0x100000001B3
 _SM_GAMMA = 0x9E3779B97F4A7C15
 
 _FNV_CHUNK = 1 << 16
-_FNV_VECTOR_MIN = 1 << 12
+_FNV_VECTOR_MIN = 1 << 11
 _FNV_POWERS = np.full(_FNV_CHUNK, _FNV_PRIME, dtype=np.uint64)
 np.multiply.accumulate(_FNV_POWERS, out=_FNV_POWERS)  # P^1 .. P^CHUNK, wrapping
 
@@ -65,11 +69,8 @@ def _fnv_chunk(h: int, data: np.ndarray) -> int:
     for k in range(8):
         bit = 1 << k
         flips = state ^ data
-        flips &= bit - 1
-        flips *= _FNV_PRIME & 0xFF
-        flips ^= data
+        flips *= _FNV_PRIME & 0xFF  # bit k: L's flip, or at byte 0 the next L's bit
         flips &= bit
-        flips[0] ^= low[0] & bit  # start the running xor from L's bit k
         run = _xor_scan(flips)
         run *= bit
         low[1:] |= run

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -194,9 +195,8 @@ def _stall(handler) -> None:
         ("loopback", _stall, 0, 0.2, "TimeoutError"),  # the only row that waits, for 0.2 s
         ("loopback", _truncated_body, 1, 5.0, "IncompleteRead"),
         ("loopback", _garbage_status_line, 1, 5.0, "BadStatusLine"),
-        ("127.0.0.1/v1/chat/completions", None, 1, 5.0, "ValueError"),
     ],
-    ids=["closed-port", "timeout", "truncated-body", "bad-status-line", "no-scheme"],
+    ids=["closed-port", "timeout", "truncated-body", "bad-status-line"],
 )
 def test_http_post_maps_request_errors_to_transport_error(
     loopback, monkeypatch, url, reply, retries, timeout, error
@@ -211,6 +211,34 @@ def test_http_post_maps_request_errors_to_transport_error(
         HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
     assert len(loopback.seen) == (retries + 1 if reply is not None else 0)
     assert sleeps == [0.5 * 2**i for i in range(retries)]
+
+
+@pytest.mark.parametrize(
+    "endpoint, error",
+    [
+        ("127.0.0.1/v1/chat/completions", "ValueError: unknown url type"),
+        ("http://[::1/v1", "ValueError: Invalid IPv6 URL"),
+        ("http://127.0.0.1:abc/v1", "InvalidURL: nonnumeric port"),
+    ],
+    ids=["no-scheme", "bad-ipv6", "bad-port"],
+)
+def test_http_transport_does_not_retry_an_unparseable_url(monkeypatch, endpoint, error):
+    # No attempt can succeed, so the first failure is final: no backoff.
+    sleeps, attempts = [], []
+    monkeypatch.setattr(chat.time, "sleep", sleeps.append)
+    real_post = chat._http_post
+
+    def counted(*args):
+        attempts.append(args[0])
+        return real_post(*args)
+
+    monkeypatch.setattr(chat, "_http_post", counted)
+    cfg = ChatClientConfig(endpoint=endpoint, mode="live", max_retries=3)
+    with pytest.raises(TransportError, match=f"^{re.escape(error)}") as info:
+        HttpTransport(cfg, "tok").send(chat_payload("m", "p"))
+    assert not info.value.retryable
+    assert attempts == [endpoint]
+    assert sleeps == []
 
 
 @pytest.mark.parametrize(
@@ -373,6 +401,17 @@ def test_non_http_endpoint_is_config_error_before_any_request(
     with pytest.raises(ConfigError, match=f"mode '{mode}' requires an http or https endpoint$"):
         build_transport(cfg)
     assert called == []
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    ["http://[::1/v1", "http://127.0.0.1:99999/v1", "https://127.0.0.1:abc/v1", "http:///v1"],
+)
+@pytest.mark.parametrize("mode", ["live", "record"])
+def test_config_rejects_an_endpoint_that_does_not_parse(endpoint, mode):
+    cfg = ChatClientConfig(mode=mode, endpoint=endpoint, fixture_path="f.json")
+    with pytest.raises(ConfigError, match="^chat endpoint "):
+        cfg.validate()
 
 
 def test_endpoint_scheme_is_case_insensitive():

@@ -170,6 +170,15 @@ def test_generate_out_is_a_directory_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_generate_out_name_too_long_exit_2(tmp_path, capsys):
+    # is_dir() re-raises ENAMETOOLONG, which must not escape as a traceback
+    out = tmp_path / ("n" * 300)
+    assert main(["generate-instructions", "--n", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InvalidArgument: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
 def _count_replay_requests(monkeypatch) -> list:
     sent = []
     original = chat.ReplayTransport.send

@@ -180,10 +180,12 @@ def test_encode_stub_golden(dim, modality, data, seed, digest):
 
 
 # Inputs long enough for the chunked numpy hash: each side of the
-# short-input cutoff (4 KiB) and of a chunk boundary (64 KiB), and one
-# past a MiB.  Data is SplitMix64(seed).bytes(n).
+# short-input cutoff (2 KiB, formerly 4 KiB) and of a chunk boundary
+# (64 KiB), and one past a MiB.  Data is SplitMix64(seed).bytes(n).
 # (seed, n, fnv1a64, modality, stub seed, SHA-256 of encode_stub at dim 64)
 LONG_GOLDEN = [
+    (4, 2047, 0x72C6570FD5C3DDA8, Modality.AUDIO, 0, "6bd7afd86b57215755099e5b3d019aeaeef71e49227477c11d94341149e9c2a7"),
+    (5, 2048, 0x76B5C1156254E98C, Modality.VIDEO, MAX_SEED, "8b5d5707dd4277160bcaaef2cc1cad860810ea28f13a75347638601cacbe21c5"),
     (1, 4095, 0xB83B6D018CC3A4A7, Modality.IMAGE, 0, "33969b22e56edb726f7693bea8b037455a990cff6c454c2b32ffd3d050fcbfde"),
     (MAX_SEED, 4096, 0xE71C8B44C06D0CE0, Modality.AUDIO, MAX_SEED, "44ad3133f67608411f8a6ee334f6cc8badd1860af27299c792566fe292544f36"),
     (2, 65535, 0x2BB4A9CCA20F510A, Modality.VIDEO, 0, "278425a2e9895b642bd870f0e68c23c1aef83f0efb429f36749c29961ca49d97"),

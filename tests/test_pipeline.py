@@ -6,6 +6,7 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 from conftest import over_hostile_json
@@ -36,6 +37,7 @@ from modalkit.pipeline import (
     run,
 )
 from modalkit.projection import (
+    MODALITY_CODES,
     TrainConfig,
     encode_stub,
     init_model,
@@ -43,6 +45,7 @@ from modalkit.projection import (
     uniform_enc_dims,
     write_embedding,
 )
+from modalkit.rng import SplitMix64, fnv1a64, mix64
 from modalkit.zoo import ModelDescriptor, ModelRegistry, default_registry
 
 CAT_CANONICAL = (
@@ -231,6 +234,24 @@ def test_mvec_attachment_happy_path(tmp_path):
     _, trace = run(req, default_registry(), cat_backend(), tmp_path / "ws")
     (encode,) = [s for s in trace.stages if s.name == "encode"]
     assert encode.details == {"dims": [64]}
+
+
+def test_a_file_rewritten_at_the_same_size_and_mtime_encodes_its_new_bytes(tmp_path):
+    # The attachment hash memo is keyed by content, so a rewrite that a
+    # (path, size, mtime) key would miss still gives the new bytes' vector.
+    cfg = TrainConfig(d_enc=uniform_enc_dims(16), d_llm=8, rank=2)
+    path = tmp_path / "clip.wav"
+    att = Attachment(str(path), Modality.AUDIO)
+    encoded = []
+    for data in (SplitMix64(1).bytes(3000), SplitMix64(2).bytes(3000)):
+        path.write_bytes(data)
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        stream = SplitMix64(mix64(fnv1a64(data), MODALITY_CODES[Modality.AUDIO], 5))
+        reference = np.array(stream.unit_floats(16))
+        vec = pipeline._encode_attachment(att, cfg, 5)
+        assert np.array_equal(vec.values, reference / np.linalg.norm(reference))
+        encoded.append(vec.values)
+    assert not np.array_equal(*encoded)
 
 
 def test_mvec_modality_header_mismatch(tmp_path):

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import itertools
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import training_reference as reference
-from conftest import tamper_backward
+from conftest import oracle_fnv1a64, tamper_backward
 from modalkit.errors import (
     BadMagic,
     DimMismatch,
@@ -23,6 +25,7 @@ from modalkit.errors import (
 )
 from modalkit import projection
 from modalkit.meta import GENERATABLE_MODALITIES, Modality
+from modalkit.rng import SplitMix64
 from modalkit.projection import (
     AlignmentModel,
     EmbeddingVector,
@@ -104,6 +107,66 @@ def test_encode_stub_outputs_spread_out():
     ]
     close_pairs = sum(1 for c in cosines if c >= 0.5)
     assert close_pairs <= len(cosines) * 0.01
+
+
+# --- the attachment hash memo -------------------------------------------------
+
+
+@pytest.fixture
+def empty_memo(monkeypatch) -> dict:
+    monkeypatch.setattr(projection, "_fnv_memo", {})
+    return projection._fnv_memo
+
+
+def test_fnv_memo_hit_returns_the_hash_without_hashing_again(empty_memo, monkeypatch):
+    data = SplitMix64(9).bytes(5000)
+    first = encode_stub(data, Modality.IMAGE, 16, seed=0)
+    assert list(empty_memo.values()) == [oracle_fnv1a64(data)]
+
+    def refuse(_data):
+        raise AssertionError("a memoized content was hashed again")
+
+    monkeypatch.setattr(projection, "fnv1a64", refuse)
+    assert projection._memo_fnv1a64(data) == oracle_fnv1a64(data)
+    again = encode_stub(data, Modality.IMAGE, 16, seed=0)
+    assert np.array_equal(first.values, again.values)
+
+
+def test_fnv_memo_never_grows_past_its_bound(empty_memo):
+    bound = projection._FNV_MEMO_MAX
+    for i in range(2 * bound + 1):
+        data = i.to_bytes(4, "little")
+        assert projection._memo_fnv1a64(data) == oracle_fnv1a64(data)
+        assert 1 <= len(empty_memo) <= bound
+
+
+def test_fnv_memo_holds_its_bound_and_values_under_threads(empty_memo, monkeypatch):
+    # A small bound makes every thread fill and empty the memo often.
+    monkeypatch.setattr(projection, "_FNV_MEMO_MAX", 8)
+    inputs = [i.to_bytes(2, "little") for i in range(64)]
+    expected = {data: oracle_fnv1a64(data) for data in inputs}
+    wrong, sizes = [], []
+
+    def work(offset: int) -> None:
+        for j in range(3000):
+            data = inputs[(offset + j) % len(inputs)]
+            if projection._memo_fnv1a64(data) != expected[data]:
+                wrong.append(data)
+            sizes.append(len(empty_memo))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(7 * i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(sizes) == 6 * 3000 and max(sizes) <= 8
 
 
 # --- MVEC files -----------------------------------------------------------------
@@ -234,6 +297,8 @@ def test_project_mismatches():
         project(LinearProjection(Modality.AUDIO, np.eye(3)), vec)
     with pytest.raises(ShapeMismatch):
         project(LinearProjection(Modality.IMAGE, np.eye(4)), vec)
+    with pytest.raises(ShapeMismatch, match="weight must be 2-D"):
+        LinearProjection(Modality.IMAGE, np.zeros(3))
     with pytest.raises(ShapeMismatch):
         LinearProjection(Modality.IMAGE, np.zeros((5, 3)), token_count=2)
     with pytest.raises(ShapeMismatch):
@@ -612,6 +677,14 @@ def test_train_detects_divergence():
         train_toy(cfg, dataset)
 
 
+def test_train_detects_divergence_after_the_last_step():
+    # one step: its own loss is finite, and the update overflows the final loss
+    cfg = toy_cfg(learning_rate=1e200, steps=1)
+    dataset = make_learnable_dataset(cfg, 6, seed=4)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceDetected, match="^loss became nan$"):
+        train_toy(cfg, dataset)
+
+
 def test_train_rejects_empty_dataset():
     with pytest.raises(InvalidArgument):
         train_toy(toy_cfg(), [])
@@ -639,3 +712,27 @@ def test_train_config_validation():
         TrainConfig(d_enc={Modality.IMAGE: 4}, d_llm=4).validate()
     with pytest.raises(InvalidArgument):
         TrainConfig(d_enc=uniform_enc_dims(4), d_llm=4, rank=9).validate()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"d_enc": {**uniform_enc_dims(4), Modality.AUDIO: 0}}, r"d_enc\[audio\] must be >= 1"),
+        ({"d_llm": 0}, "d_llm must be >= 1"),
+        ({"token_count": 0}, "token_count must be >= 1"),
+        ({"rank": 0}, "rank must be >= 1, got 0"),
+        ({"alpha": 0.0}, "alpha must be positive"),
+        ({"learning_rate": -0.1}, "learning_rate must be >= 0"),
+        ({"steps": -1}, "steps must be >= 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ],
+)
+def test_train_config_refuses_each_field(overrides, message):
+    fields = {"d_enc": uniform_enc_dims(4), "d_llm": 4, "rank": 2, **overrides}
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        TrainConfig(**fields).validate()
+
+
+def test_make_learnable_dataset_refuses_no_samples():
+    with pytest.raises(InvalidArgument, match="n must be >= 1"):
+        make_learnable_dataset(toy_cfg(), 0, seed=0)
