@@ -11,13 +11,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from modalkit.projection import (
-    TrainConfig,
-    export_trace_csv,
-    make_learnable_dataset,
-    train_toy,
-    uniform_enc_dims,
-)
+from modalkit.projection import export_trace_csv, make_learnable_dataset, train_toy
+from modalkit.sizing import TrainConfig, uniform_enc_dims
 
 
 def main() -> int:

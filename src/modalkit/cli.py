@@ -32,8 +32,7 @@ from .instruct import (
 )
 from .media import modality_for_path
 from .meta import Modality, has_lone_surrogate, parse_meta_response, serialize_meta_response
-from .pipeline import UserRequest, run
-from .projection import gradient_check, param_blocks, random_check_instance
+from .sizing import param_blocks
 from .zoo import default_registry, manifest_json
 
 
@@ -225,6 +224,8 @@ def _parse_attach(spec: str) -> Attachment:
 
 
 def cmd_run(args) -> int:
+    from .pipeline import UserRequest, run
+
     if args.workers < 1:
         raise InvalidArgument(f"--workers must be >= 1, got {args.workers}")
     app = load_app_config(args.config)
@@ -249,7 +250,17 @@ def cmd_run(args) -> int:
     return 0
 
 
+def gradient_check(model, batch, epsilon: float = 1e-5) -> dict[str, float]:
+    """projection.gradient_check, imported on the first call so that only
+    run and gradcheck load numpy; cmd_gradcheck looks it up here."""
+    from . import projection
+
+    return projection.gradient_check(model, batch, epsilon=epsilon)
+
+
 def cmd_gradcheck(args) -> int:
+    from .projection import random_check_instance
+
     if args.trials < 1:
         raise InvalidArgument(f"--trials must be >= 1, got {args.trials}")
     for flag, value in (("--epsilon", args.epsilon), ("--threshold", args.threshold)):

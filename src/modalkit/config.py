@@ -16,6 +16,7 @@ from pathlib import Path
 import json
 import sys
 
+from .backends import ExternalBackend, ScriptedBackend, ScriptedRule
 from .chat import ChatClientConfig
 from .errors import ConfigError, MalformedLine, ModalkitError
 from .instruct import (
@@ -27,8 +28,7 @@ from .instruct import (
     read_dataset,
 )
 from .meta import GENERATABLE_MODALITIES, Modality, modality_for_kind
-from .pipeline import ExternalBackend, ScriptedBackend, ScriptedRule, default_pipeline_config
-from .projection import TrainConfig, uniform_enc_dims
+from .sizing import TrainConfig, default_pipeline_config, uniform_enc_dims
 from .zoo import ModelRegistry, registry_of
 
 

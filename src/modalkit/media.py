@@ -12,11 +12,8 @@ import io
 import math
 import wave
 
-import numpy as np
-
 from .errors import UnknownModelKind
 from .meta import KNOWN_MODEL_KINDS, Modality, modality_for_kind
-from .rng import SplitMix64, content_hash, mix64
 
 IMAGE_SIDE = 64
 AUDIO_RATE = 16000
@@ -47,21 +44,25 @@ def modality_for_path(path: str) -> Modality | None:
 
 
 def render_placeholder(kind: str, prompt: str, seed: int) -> bytes:
-    """Render placeholder bytes for one invocation."""
+    """Render placeholder bytes for one invocation.  Rendering imports
+    numpy and rng on its first call, so the path tables above cost neither."""
+    from .rng import SplitMix64, content_hash, mix64
+
     if kind not in KNOWN_MODEL_KINDS:
         raise UnknownModelKind(f"cannot render kind {kind!r}")
     modality = modality_for_kind(kind)
     h = content_hash(kind, prompt)
-    if modality is Modality.IMAGE:
-        return _render_image(h, seed)
     if modality is Modality.AUDIO:
         return _render_audio(h)
-    return _render_video(h, seed)
+    stream = SplitMix64(mix64(h, seed))
+    if modality is Modality.IMAGE:
+        return _render_image(stream)
+    return _render_video(stream)
 
 
-def _render_image(h: int, seed: int) -> bytes:
+def _render_image(stream) -> bytes:
     header = f"P6\n{IMAGE_SIDE} {IMAGE_SIDE}\n255\n".encode("ascii")
-    body = SplitMix64(mix64(h, seed)).bytes(IMAGE_SIDE * IMAGE_SIDE * 3)
+    body = stream.bytes(IMAGE_SIDE * IMAGE_SIDE * 3)
     return header + body
 
 
@@ -69,6 +70,8 @@ def _render_audio(h: int) -> bytes:
     # 1 s sine; the pitch encodes the request content, nothing else.
     # The sine's argument keeps the left-to-right order 2.0*pi*freq*n/rate,
     # and rint rounds half to even like round(); golden tests pin every pitch.
+    import numpy as np
+
     freq = 200 + (h % 1800)
     amp = 16383
     n = np.arange(AUDIO_RATE * AUDIO_SECONDS)
@@ -82,11 +85,10 @@ def _render_audio(h: int) -> bytes:
     return buf.getvalue()
 
 
-def _render_video(h: int, seed: int) -> bytes:
+def _render_video(stream) -> bytes:
     side = IMAGE_SIDE
     plane = side * side  # Y plane; U and V are quarter size (4:2:0)
     frame_bytes = plane + plane // 2
-    stream = SplitMix64(mix64(h, seed))
     out = bytearray(f"YUV4MPEG2 W{side} H{side} F8:1 Ip A1:1 C420\n".encode("ascii"))
     for _ in range(VIDEO_FRAMES):
         out += b"FRAME\n"

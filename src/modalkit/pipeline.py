@@ -16,10 +16,9 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import chat
+from .backends import ScriptedBackend, ScriptedRule  # noqa: F401 (callers import both from here too)
 from .errors import (
     AttachmentMissing,
-    ConfigError,
     InstructionRequired,
     InvalidArgument,
     ModalityMismatch,
@@ -27,18 +26,17 @@ from .errors import (
 )
 from .instruct import Attachment
 from .media import modality_for_path
-from .meta import Modality, has_lone_surrogate, parse_meta_response, validate_invocations
+from .meta import has_lone_surrogate, parse_meta_response, validate_invocations
 from .projection import (
     AlignmentModel,
     EmbeddingVector,
-    TrainConfig,
     encode_stub,
     init_model,
     load_embedding,
     project,
     trainable_arrays,
-    uniform_enc_dims,
 )
+from .sizing import TrainConfig, default_pipeline_config
 from .zoo import FinalResponse, ModelRegistry, clear_artifacts, execute_plan, manifest_json, route
 
 
@@ -46,59 +44,6 @@ from .zoo import FinalResponse, ModelRegistry, clear_artifacts, execute_plan, ma
 class UserRequest:
     instruction: str
     attachments: tuple[Attachment, ...] = ()
-
-
-@dataclass(frozen=True)
-class ScriptedRule:
-    """First match wins.  A rule with no predicates matches everything."""
-
-    respond: str
-    instruction_contains: str | None = None
-    attachment_modalities: tuple[Modality, ...] | None = None
-
-    def matches(self, instruction: str, modalities: tuple[Modality, ...]) -> bool:
-        if self.instruction_contains is not None:
-            if self.instruction_contains.lower() not in instruction.lower():
-                return False
-        if self.attachment_modalities is not None:
-            present = set(modalities)
-            if not all(m in present for m in self.attachment_modalities):
-                return False
-        return True
-
-
-class ScriptedBackend:
-    """Deterministic language backend driven by an ordered rule table."""
-
-    def __init__(self, rules: list[ScriptedRule]) -> None:
-        if not rules:
-            raise ConfigError("scripted backend needs at least one rule")
-        last = rules[-1]
-        if last.instruction_contains is not None or last.attachment_modalities is not None:
-            raise ConfigError("the final scripted rule must be a catch-all (no predicates)")
-        self._rules = list(rules)
-
-    def generate(self, instruction: str, modalities: tuple[Modality, ...]) -> str:
-        # the constructor enforces a catch-all, so some rule always matches
-        return next(r.respond for r in self._rules if r.matches(instruction, modalities))
-
-
-class ExternalBackend:
-    """Language backend that defers to a chat completion endpoint."""
-
-    def __init__(self, cfg: chat.ChatClientConfig, transport=None) -> None:
-        self._cfg = cfg
-        self._transport = transport or chat.build_transport(cfg)
-
-    def generate(self, instruction: str, modalities: tuple[Modality, ...]) -> str:
-        summary = ", ".join(m.value for m in modalities) or "none"
-        prompt = (
-            f"Attachments: {summary}\n"
-            f"Instruction: {instruction}\n"
-            "Reply with one JSON object: "
-            '{"text": string, "invocations": [{"model": string, "prompt": string}]}'
-        )
-        return chat.complete(self._transport, self._cfg, prompt)
 
 
 @dataclass
@@ -120,12 +65,6 @@ class PipelineTrace:
                 record["elapsed_ms"] = round(s.elapsed_ms, 3)
             stages.append(record)
         return json.dumps({"stages": stages}, indent=2, ensure_ascii=False) + "\n"
-
-
-def default_pipeline_config() -> TrainConfig:
-    # Small dims: the pipeline only needs the projection path to be real,
-    # not expensive.  run never applies the adaptor, so its rank is the smallest valid one.
-    return TrainConfig(d_enc=uniform_enc_dims(64), d_llm=128, rank=1)
 
 
 def _config_key(cfg: TrainConfig) -> tuple:
@@ -199,7 +138,8 @@ def run(
 
     The instruction is checked, then each attachment is checked and
     encoded in one pass, in order, and the inputs are projected; a fault
-    there raises before the workspace is created.  The workspace is
+    there raises before the workspace is created, and a cfg dim too large
+    for numpy to allocate is InvalidArgument.  The workspace is
     created just before the backend is called (its creation counts
     toward the backend stage), so one that cannot be created costs no
     chat request.  If anything from its creation to its first write
@@ -237,11 +177,14 @@ def run(
         {"instruction_bytes": len(req.instruction.encode("utf-8")), "attachments": attachments},
     )
 
-    embeddings = [_encode_attachment(a, cfg, seed) for a in req.attachments]
-    record("encode", {"dims": [v.dim for v in embeddings]})
-
-    model = _shared_model(_config_key(cfg))
-    tokens = [project(model.projections[v.modality], v) for v in embeddings]
+    try:
+        embeddings = [_encode_attachment(a, cfg, seed) for a in req.attachments]
+        record("encode", {"dims": [v.dim for v in embeddings]})
+        model = _shared_model(_config_key(cfg))
+        tokens = [project(model.projections[v.modality], v) for v in embeddings]
+    except (ValueError, MemoryError) as exc:  # numpy refuses an array it cannot index or hold
+        dims = {m.value: d for m, d in cfg.d_enc.items()}
+        raise InvalidArgument(f"cannot allocate for d_enc {dims}, d_llm {cfg.d_llm}: {exc}") from None
     record("project", {"token_shapes": [list(t.shape) for t in tokens]})
 
     ws = Path(workspace)

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .meta import GENERATABLE_MODALITIES, Modality
 from .rng import SplitMix64, fnv1a64, mix64
+from .sizing import TrainConfig, uniform_enc_dims  # noqa: F401 (callers import both from here too)
 
 NORM_TOL = 1e-6  # construction-time unit-norm tolerance
 FILE_NORM_TOL = 1e-3  # repairable drift in stored float32 vectors
@@ -238,46 +239,6 @@ def alignment_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 # --- model bundle and training ----------------------------------------------
-
-
-@dataclass
-class TrainConfig:
-    d_enc: dict[Modality, int]
-    d_llm: int
-    token_count: int = 1
-    bias: bool = False
-    rank: int = 4
-    alpha: float = 16.0
-    learning_rate: float = 0.05
-    steps: int = 100
-    seed: int = 0
-
-    def validate(self) -> None:
-        for m in GENERATABLE_MODALITIES:
-            if m not in self.d_enc:
-                raise InvalidArgument(f"d_enc missing modality {m.value}")
-            if self.d_enc[m] < 1:
-                raise InvalidArgument(f"d_enc[{m.value}] must be >= 1")
-        if self.d_llm < 1:
-            raise InvalidArgument("d_llm must be >= 1")
-        if self.token_count < 1:
-            raise InvalidArgument("token_count must be >= 1")
-        if self.rank < 1:
-            raise InvalidArgument(f"rank must be >= 1, got {self.rank}")
-        if self.rank > self.d_llm:
-            raise InvalidArgument(f"rank {self.rank} exceeds d_llm {self.d_llm}")
-        if self.alpha <= 0:
-            raise InvalidArgument("alpha must be positive")
-        if self.learning_rate < 0:
-            raise InvalidArgument("learning_rate must be >= 0")
-        if self.steps < 0:
-            raise InvalidArgument("steps must be >= 0")
-        if self.seed < 0:
-            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
-
-
-def uniform_enc_dims(dim: int) -> dict[Modality, int]:
-    return {m: dim for m in GENERATABLE_MODALITIES}
 
 
 @dataclass
@@ -500,22 +461,6 @@ def gradient_check(model: AlignmentModel, batch: Batch, epsilon: float = 1e-5) -
             worst = max(worst, rel)
         report[key] = worst
     return report
-
-
-def param_blocks(cfg: TrainConfig) -> dict[str, int]:
-    """Trainable scalars per block: one projection per modality, in name
-    order, each with its bias if any, then the LoRA adaptor pair."""
-    cfg.validate()
-    rows = cfg.token_count * cfg.d_llm
-    modalities = sorted(GENERATABLE_MODALITIES, key=lambda m: m.value)
-    blocks = {f"proj.{m.value}": rows * (cfg.d_enc[m] + int(cfg.bias)) for m in modalities}
-    blocks["lora"] = 2 * cfg.rank * cfg.d_llm
-    return blocks
-
-
-def param_count(cfg: TrainConfig) -> int:
-    """Trainable scalars: three projections plus the adaptor pair."""
-    return sum(param_blocks(cfg).values())
 
 
 @dataclass

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import counting_registry, random_meta
 from modalkit import chat
+from modalkit.backends import ScriptedBackend, ScriptedRule
 from modalkit.cli import main
 from modalkit.config import build_language_backend, build_registry, load_app_config
 from modalkit.errors import InstructionRequired, MetaError
@@ -42,20 +43,18 @@ from modalkit.meta import (
     parse_meta_response,
     serialize_meta_response,
 )
-from modalkit.pipeline import ScriptedBackend, ScriptedRule, UserRequest, run
+from modalkit.pipeline import UserRequest, run
 from modalkit.projection import (
-    TrainConfig,
     backward,
     encode_stub,
     gradient_check,
     init_model,
     lora_forward,
     make_learnable_dataset,
-    param_count,
     random_check_instance,
     train_toy,
-    uniform_enc_dims,
 )
+from modalkit.sizing import TrainConfig, param_count, uniform_enc_dims
 from modalkit.zoo import default_registry, execute_plan, manifest_json, route
 
 CAT_CANONICAL = (

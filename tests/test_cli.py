@@ -777,6 +777,26 @@ def test_run_with_a_tiny_pipeline_d_llm(tmp_path, capsys, monkeypatch):
     assert project["details"] == {"token_shapes": [[1, 2]]}
 
 
+# Dims numpy refuses before it allocates anything: past its limit on one
+# dimension (d_llm rows) or on an array's total size (d_enc columns).
+@pytest.mark.parametrize(
+    "pipeline", [{"d_enc": 64, "d_llm": 10**30}, {"d_enc": 10**30}], ids=["d_llm", "d_enc"]
+)
+@pytest.mark.parametrize("attach", [["--attach", "cat.png"], []], ids=["attachment", "none"])
+def test_run_with_an_unallocatable_pipeline_dim_exit_2(tmp_path, capsys, monkeypatch, pipeline, attach):
+    monkeypatch.chdir(tmp_path)
+    config = _bundled_config_copy(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["pipeline"] = pipeline
+    config.write_text(json.dumps(doc))
+    (tmp_path / "cat.png").write_bytes(b"\x01" * 4096)
+    argv = ["run", "--config", str(config), "--instruction", "Make an image.", "--workspace", "ws"]
+    assert main([*argv, *attach]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidArgument: cannot allocate") and err.count("\n") == 1
+    assert not (tmp_path / "ws").exists()
+
+
 def test_params_toy_config(tmp_path, capsys):
     config = {
         "registry": [{"name": "m-image", "kind": "text-to-image"}],

@@ -247,6 +247,20 @@ _REPLAY = {"mode": "replay", "fixture_path": "fx.json"}
         ({"instruct": {"candidates": {"audio": 7}}}, "instruct.candidates.audio must be a string"),
         ({"instruct": {"references": None}}, "instruct.references must be a string, got None"),
         ({"chat": dict(_REPLAY, backoff_base=-0.5)}, "chat: backoff_base must be >= 0, got -0.5"),
+        ({"registry": []}, "registry must be a nonempty list"),
+        ({"registry": {"name": "x"}}, "registry must be a nonempty list"),
+        ({"registry": [{"name": "x"}]}, "registry[0] must be an object with name and kind"),
+        ({"registry": ["text-to-image"]}, "registry[0] must be an object with name and kind"),
+        (
+            {"registry": [{"name": "x", "kind": "text-to-image", "backend": "gpu"}]},
+            "registry[0]: backend must be mock or command",
+        ),
+        ({"chat": 5}, "chat must be an object or null"),
+        ({"train": {"d_enc": "64"}}, "train.d_enc must be an integer or an object keyed by modality"),
+        ({"pipeline": {"d_enc": [64]}}, "pipeline.d_enc must be an integer or an object keyed"),
+        ({"instruct": {"type_mix": [0.5]}}, "instruct.type_mix must be an object, got [0.5]"),
+        ({"instruct": {"type_mix": {"caption": 1}}}, "instruct.type_mix has a bad entry: 'caption': 1"),
+        ({"instruct": {"candidates": ["c.txt"]}}, "instruct.candidates must be an object keyed by"),
     ],
 )
 def test_mistyped_fields_are_one_config_error(tmp_path, capsys, overrides, fragment):

@@ -9,6 +9,7 @@ import os
 import re
 import stat
 import threading
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,6 +272,18 @@ def test_write_rejects_non_string_text_and_leaves_no_file(tmp_path, pair, messag
     with pytest.raises(InvalidArgument, match=re.escape(message)):
         write_dataset([caption_pair("first"), pair, caption_pair("last")], path)
     assert not path.exists()
+
+
+class _Unformattable:
+    def __format__(self, spec):
+        raise TypeError("cannot format this")
+
+
+def test_pair_to_json_passes_on_a_type_error_that_no_text_field_explains():
+    # every text field is a string, so this is not the caller's InvalidArgument
+    pair = dataclasses.replace(CAT_PAIR, type=types.SimpleNamespace(value=_Unformattable()))
+    with pytest.raises(TypeError, match="cannot format this"):
+        pair_to_json(pair)
 
 
 def test_write_lone_surrogate_leaves_no_file(tmp_path):

@@ -11,8 +11,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import counting_registry, over_hostile_json, random_meta, st_meta
 from modalkit.errors import EmptyMeta, InvariantViolation, MalformedMeta, MetaError, PromptTooLong
 from modalkit.meta import (
+    GENERATABLE_MODALITIES,
     Invocation,
     MetaResponse,
+    Modality,
+    kind_for_modality,
+    modality_for_kind,
     parse_meta_response,
     serialize_meta_response,
     validate_invocations,
@@ -75,6 +79,13 @@ def test_serialize_rejects_invalid_objects():
         serialize_meta_response(MetaResponse("x", (Invocation("image", "p"),)))
     with pytest.raises(InvariantViolation):
         serialize_meta_response(MetaResponse("x", (Invocation("text-to-image", ""),)))
+
+
+def test_kinds_map_to_modalities_and_back_and_no_kind_produces_text():
+    for m in GENERATABLE_MODALITIES:
+        assert modality_for_kind(kind_for_modality(m)) is m
+    with pytest.raises(InvariantViolation, match="no generator kind produces text"):
+        kind_for_modality(Modality.TEXT)
 
 
 # --- strict-mode rejection -------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from conftest import over_hostile_json
 from test_golden_bytes import _load_script
 from modalkit import chat, pipeline
+from modalkit.backends import ExternalBackend, ScriptedBackend, ScriptedRule
 from modalkit.config import load_scripted_rules
 from modalkit.errors import (
     AttachmentMissing,
@@ -27,25 +28,16 @@ from modalkit.errors import (
 from modalkit.instruct import Attachment
 from modalkit.media import render_placeholder
 from modalkit.meta import Modality
-from modalkit.pipeline import (
-    ExternalBackend,
-    PipelineTrace,
-    ScriptedBackend,
-    ScriptedRule,
-    StageRecord,
-    UserRequest,
-    run,
-)
+from modalkit.pipeline import PipelineTrace, StageRecord, UserRequest, run
 from modalkit.projection import (
     MODALITY_CODES,
-    TrainConfig,
     encode_stub,
     init_model,
     trainable_arrays,
-    uniform_enc_dims,
     write_embedding,
 )
 from modalkit.rng import SplitMix64, fnv1a64, mix64
+from modalkit.sizing import TrainConfig, uniform_enc_dims
 from modalkit.zoo import ModelDescriptor, ModelRegistry, default_registry
 
 CAT_CANONICAL = (

@@ -31,7 +31,6 @@ from modalkit.projection import (
     EmbeddingVector,
     LinearProjection,
     LoraAdaptor,
-    TrainConfig,
     alignment_loss,
     backward,
     batch_loss,
@@ -43,14 +42,13 @@ from modalkit.projection import (
     lora_forward,
     make_learnable_dataset,
     model_forward,
-    param_count,
     project,
     random_check_instance,
     train_toy,
     trainable_arrays,
-    uniform_enc_dims,
     write_embedding,
 )
+from modalkit.sizing import TrainConfig, param_count, uniform_enc_dims
 
 
 def unit(values) -> np.ndarray:

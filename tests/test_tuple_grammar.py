@@ -81,6 +81,10 @@ TWO_KEY = [
     ('{"instruction": [\xa0"a"]' + TAIL, "instruction list holds a non-string"),
     ('{"instruction": [ ]' + TAIL, "instruction list is empty"),
     (
+        '{"instruction": ["x", "a.png"] "invocation": [("text-to-image", ""), ]}',
+        "recovered invocation has an empty prompt",
+    ),
+    (
         '{"instruction": ["Make a picture" "cat.wav"]' + TAIL,
         ("Make a picture", [("cat.wav", Modality.AUDIO)], [(IMG, "A cat")]),
     ),
