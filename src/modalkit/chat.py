@@ -19,6 +19,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, FixtureMiss, TransportError
+from .files import replace_file
 
 MODES = ("live", "record", "replay")
 _HTTP_PREFIXES = ("http://", "https://")  # urllib would also open file:, ftp: and data: URLs
@@ -165,9 +166,7 @@ def load_fixture(path: str | Path) -> dict[str, list[str]]:
 
 def save_fixture(responses: dict[str, list[str]], path: str | Path) -> None:
     doc = {"version": 1, "responses": responses}
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    replace_file(path, (json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False), "\n"))
 
 
 def build_transport(cfg: ChatClientConfig):

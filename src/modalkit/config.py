@@ -27,7 +27,7 @@ from .instruct import (
     load_reference_lines,
     read_dataset,
 )
-from .meta import GENERATABLE_MODALITIES, Modality, modality_for_kind
+from .meta import GENERATABLE_MODALITIES, Modality, has_lone_surrogate, modality_for_kind
 from .sizing import TrainConfig, default_pipeline_config, uniform_enc_dims
 from .zoo import ModelRegistry, registry_of
 
@@ -180,7 +180,8 @@ def _is_int(value) -> bool:
 
 # Each type the reader knows: the test a JSON value must pass and the
 # wording of the problem when it does not.  Floats accept JSON integers
-# but not bools, numeric strings, NaN or the infinities.
+# but not bools, numeric strings, NaN or the infinities; strings refuse
+# a lone surrogate, which no path, name or request body can encode.
 _KINDS = {
     "int": (_is_int, "an integer"),
     "float": (
@@ -188,8 +189,8 @@ _KINDS = {
         "a finite number",
     ),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
+    "str": (lambda v: isinstance(v, str) and not has_lone_surrogate(v), "a string"),
+    "str | None": (lambda v: v is None or _KINDS["str"][0](v), "a string"),
     "dict": (lambda v: isinstance(v, dict), "an object"),
 }
 

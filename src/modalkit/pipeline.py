@@ -12,9 +12,15 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # no flock here (Windows): runs commit to a workspace unlocked
+    fcntl = None
 
 from .backends import ScriptedBackend, ScriptedRule  # noqa: F401 (callers import both from here too)
 from .errors import (
@@ -24,6 +30,7 @@ from .errors import (
     ModalityMismatch,
     ShapeMismatch,
 )
+from .files import replace_file
 from .instruct import Attachment
 from .media import modality_for_path
 from .meta import has_lone_surrogate, parse_meta_response, validate_invocations
@@ -37,7 +44,7 @@ from .projection import (
     trainable_arrays,
 )
 from .sizing import TrainConfig, default_pipeline_config
-from .zoo import FinalResponse, ModelRegistry, clear_artifacts, execute_plan, manifest_json, route
+from .zoo import ARTIFACT_NAME, FinalResponse, ModelRegistry, execute_plan, manifest_json, route
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,27 @@ def _encode_attachment(att: Attachment, cfg: TrainConfig, seed: int) -> Embeddin
     return vec
 
 
+def _commit(ws: Path, response: FinalResponse, trace_json: str) -> None:
+    """Write one run into ws while holding an exclusive flock on ws itself.
+    The sweep deletes manifest.json first, then trace.json and every file
+    named the way artifact_name names one (any other file stays); then
+    come the artifacts, trace.json, and manifest.json last, by replace_file."""
+    fd = os.open(ws, os.O_RDONLY) if fcntl else None
+    try:
+        if fcntl:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        for name in sorted(os.listdir(ws), key=lambda n: n != "manifest.json"):
+            if name in ("manifest.json", "trace.json") or ARTIFACT_NAME.fullmatch(name):
+                os.unlink(ws / name)
+        for artifact in response.artifacts:
+            (ws / artifact.path).write_bytes(artifact.data)
+        (ws / "trace.json").write_text(trace_json, encoding="utf-8")
+        replace_file(ws / "manifest.json", (manifest_json(response),))
+    finally:
+        if fd is not None:
+            os.close(fd)  # and with it the lock
+
+
 def run(
     req: UserRequest,
     registry: ModelRegistry,
@@ -136,19 +164,18 @@ def run(
 ) -> tuple[FinalResponse, PipelineTrace]:
     """Drive one request through every stage and write its workspace.
 
-    The instruction is checked, then each attachment is checked and
-    encoded in one pass, in order, and the inputs are projected; a fault
-    there raises before the workspace is created, and a cfg dim too large
-    for numpy to allocate is InvalidArgument.  The workspace is
-    created just before the backend is called (its creation counts
-    toward the backend stage), so one that cannot be created costs no
-    chat request.  If anything from its creation to its first write
+    The instruction and the workspace path are checked, then each
+    attachment is checked and encoded in one pass, in order, and the
+    inputs are projected; a fault there raises before the workspace is
+    created, and a cfg dim too large for numpy to allocate is
+    InvalidArgument.  The workspace is created just before the backend
+    is called (its creation counts toward the backend stage), so one that
+    cannot be created costs no chat request.  If anything from its creation to its first write
     raises (the backend, the lenient parse, routing), the run removes
     the directories it created, deepest first, and re-raises; one that
-    existed before the run, or is no longer empty, stays.  Then the run
-    alone writes the workspace: it sweeps the earlier manifest and
-    artifacts, writes this run's (none when degraded), trace.json, and
-    manifest.json last; an OSError there is InvalidArgument.
+    existed before the run, or is no longer empty, stays.  Then the plan
+    runs (not when degraded), and _commit alone writes the workspace; an
+    OSError there is InvalidArgument.
     Invocation-validation failures degrade to a text-only response.  The
     projection model is built once per distinct cfg value per process (a
     small bounded memo) and shared read-only by every later request with
@@ -171,6 +198,8 @@ def run(
         raise InstructionRequired("request instruction is empty")
     if has_lone_surrogate(req.instruction):
         raise InvalidArgument("instruction holds an unpaired surrogate")
+    if has_lone_surrogate(str(workspace)):
+        raise InvalidArgument(f"workspace {str(workspace)!r} holds an unpaired surrogate")
     attachments = [{"path": a.path, "modality": a.modality.value} for a in req.attachments]
     record(
         "validate",
@@ -223,24 +252,15 @@ def run(
                 path.rmdir()
         raise
 
+    if issues:
+        response = FinalResponse(text=meta.text, diagnostics=tuple(issues))
+        trace.stages.append(StageRecord("degraded", {"reason": "invocation validation failed"}, 0.0))
+    else:
+        response = execute_plan(plan, registry, seed, workers=workers)
+        artifacts = [a.path for a in response.artifacts]
+        record("execute", {"artifacts": artifacts, "failures": [f.error for f in response.failures]})
     try:
-        clear_artifacts(ws)
-        if issues:
-            response = FinalResponse(text=meta.text, diagnostics=tuple(issues))
-            trace.stages.append(
-                StageRecord("degraded", {"reason": "invocation validation failed"}, 0.0)
-            )
-        else:
-            response = execute_plan(plan, registry, ws, seed, workers=workers)
-            record(
-                "execute",
-                {
-                    "artifacts": [a.path for a in response.artifacts],
-                    "failures": [f.error for f in response.failures],
-                },
-            )
-        (ws / "trace.json").write_text(trace.to_json(include_timings), encoding="utf-8")
-        (ws / "manifest.json").write_text(manifest_json(response), encoding="utf-8")
+        _commit(ws, response, trace.to_json(include_timings))
     except OSError as exc:
         raise InvalidArgument(f"cannot write workspace {ws}: {exc}") from None
     return response, trace

@@ -2,15 +2,14 @@
 
 The registry maps backend names to executors behind the three generator
 kinds.  Routing turns a validated meta-response into an ordered plan;
-execution runs every plan item, isolates per-item failures, and writes
-the artifacts into a workspace that pipeline.run sweeps and commits.
+execution runs every plan item, isolates per-item failures, and returns
+the artifacts' bytes for pipeline.run to commit.  Nothing here writes a file.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import re
 import subprocess
 import tempfile
@@ -113,6 +112,7 @@ class ArtifactRecord:
     path: str  # file name, relative to the workspace
     model: str
     prompt: str
+    data: bytes = field(repr=False, compare=False)  # the executor's bytes-like result
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def artifact_name(index: int, kind: str, modality: Modality) -> str:
 
 
 # The names artifact_name makes: a plan index, then a kind and its extension.
-_ARTIFACT_NAME = re.compile(
+ARTIFACT_NAME = re.compile(
     r"artifact_(0|[1-9][0-9]*)_(%s)"
     % "|".join(
         re.escape(f"{kind_for_modality(m)}.{ext}") for m, ext in EXTENSION_FOR_MODALITY.items()
@@ -151,40 +151,28 @@ _ARTIFACT_NAME = re.compile(
 )
 
 
-def clear_artifacts(workspace: Path) -> None:
-    """Delete workspace's manifest.json first, then its trace.json and every
-    file named the way artifact_name names one, so a workspace never holds
-    the trace or artifacts of an earlier run and a sweep that fails
-    part-way leaves no manifest describing it; any other file stays."""
-    swept = ("manifest.json", "trace.json")
-    names = [n for n in os.listdir(workspace) if n in swept or _ARTIFACT_NAME.fullmatch(n)]
-    for name in sorted(names, key=lambda n: n != "manifest.json"):
-        os.unlink(os.path.join(workspace, name))
-
-
 def execute_plan(
     plan: InvocationPlan,
     registry: ModelRegistry,
-    workspace: str | Path,
     seed: int,
     workers: int = 1,
 ) -> FinalResponse:
-    """Run every plan item and write its artifact into workspace, which
-    must exist; pipeline.run sweeps it before and writes the manifest.
+    """Run every plan item and return each artifact's bytes in plan order,
+    named by artifact_name; nothing is written.
 
     Item i runs with seed ^ i so repeated identical invocations in one
     plan still get distinct bytes.  A backend that raises or returns no
     bytes-like object is recorded and the remaining items still run.
     Items may run concurrently; the response lists results in plan order.
     """
-    ws = Path(workspace)
 
-    def run_item(pair: tuple[int, PlanItem]) -> tuple[int, memoryview | None, str | None]:
+    def run_item(pair: tuple[int, PlanItem]) -> tuple[int, bytes | None, str | None]:
         i, item = pair
         executor = registry.executor_for(item.descriptor.name)
         try:
-            # memoryview raises TypeError for a result write_bytes cannot write
-            return i, memoryview(executor(item.invocation.prompt, (seed ^ i) & _SEED_MASK)), None
+            blob = executor(item.invocation.prompt, (seed ^ i) & _SEED_MASK)
+            memoryview(blob)  # raises TypeError for a result that is not bytes-like
+            return i, blob, None
         except Exception as exc:  # noqa: BLE001 - isolation boundary
             return i, None, f"{type(exc).__name__}: {exc}"
 
@@ -203,8 +191,7 @@ def execute_plan(
             failures.append(FailureRecord(i, inv.model, inv.prompt, f"BackendFailure: {err}"))
             continue
         name = artifact_name(i, inv.model, desc.output_modality)
-        (ws / name).write_bytes(blob)
-        artifacts.append(ArtifactRecord(i, desc.output_modality, name, desc.name, inv.prompt))
+        artifacts.append(ArtifactRecord(i, desc.output_modality, name, desc.name, inv.prompt, blob))
     return FinalResponse(plan.text, tuple(artifacts), tuple(failures))
 
 

@@ -149,13 +149,6 @@ def counting_registry() -> tuple[ModelRegistry, dict[str, CountingExecutor]]:
     return registry.finalize(), executors
 
 
-@pytest.fixture
-def tmp_workspace(tmp_path):
-    ws = tmp_path / "ws"
-    ws.mkdir()
-    return ws
-
-
 def tamper_backward(monkeypatch, delta: float) -> None:
     """Make projection.backward add delta to the first entry of every
     gradient array, the negative control for the gradient check."""

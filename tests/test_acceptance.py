@@ -226,20 +226,18 @@ def test_criterion_7_parameter_accounting(capsys):
         assert "total 12845056 (12,845,056)" in capsys.readouterr().out
 
 
-def test_criterion_8_routing_conservation_and_determinism(capsys, tmp_path):
+def test_criterion_8_routing_conservation_and_determinism(capsys):
     with criterion(capsys, 8, "1k plans conserve calls and order; reruns byte-identical"):
         registry, executors = counting_registry()
         rng = random.Random(99)
         metas = [random_meta(rng) for _ in range(1_000)]
         resample = set(range(0, 1_000, 20))  # 50 reruns
-        stored: dict[int, tuple[bytes, dict[str, bytes]]] = {}
+        stored: dict[int, tuple[str, list[bytes]]] = {}
         total_invocations = 0
         t0 = time.perf_counter()
         for i, meta in enumerate(metas):
             total_invocations += len(meta.invocations)
-            ws = tmp_path / f"run{i}"
-            ws.mkdir()
-            response = execute_plan(route(meta, registry), registry, ws, seed=i)
+            response = execute_plan(route(meta, registry), registry, seed=i)
             assert len(response.artifacts) == len(meta.invocations)
             assert response.failures == ()
             assert [a.prompt for a in response.artifacts] == [
@@ -251,30 +249,22 @@ def test_criterion_8_routing_conservation_and_determinism(capsys, tmp_path):
             ]
             assert [a.path for a in response.artifacts] == expected_names
             if i in resample:
-                stored[i] = (
-                    manifest_json(response),
-                    {n: (ws / n).read_bytes() for n in expected_names},
-                )
+                stored[i] = (manifest_json(response), [a.data for a in response.artifacts])
         calls_made = sum(len(ex.calls) for ex in executors.values())
         assert calls_made == total_invocations
         for i in resample:
-            ws = tmp_path / f"rerun{i}"
-            ws.mkdir()
-            response = execute_plan(route(metas[i], registry), registry, ws, seed=i)
+            response = execute_plan(route(metas[i], registry), registry, seed=i)
             manifest, blobs = stored[i]
             assert manifest_json(response) == manifest
-            for name, blob in blobs.items():
-                assert (ws / name).read_bytes() == blob
+            assert [a.data for a in response.artifacts] == blobs
         placeholder = default_registry()
         for i in range(20):
             meta = random_meta(rng)
             pair = []
-            for attempt in ("a", "b"):
-                ws = tmp_path / f"media{i}{attempt}"
-                ws.mkdir()
-                response = execute_plan(route(meta, placeholder), placeholder, ws, seed=i)
-                files = sorted((p.name, p.read_bytes()) for p in ws.iterdir())
-                pair.append((manifest_json(response), files))
+            for _ in range(2):
+                response = execute_plan(route(meta, placeholder), placeholder, seed=i)
+                blobs = [(a.path, a.data) for a in response.artifacts]
+                pair.append((manifest_json(response), blobs))
             assert pair[0] == pair[1]
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"took {elapsed:.3f}s"

@@ -652,6 +652,14 @@ def test_gradcheck_passes(capsys):
     assert "worst" in out and "trial 0:" in out
 
 
+def test_gradcheck_default_seed_is_zero(capsys):
+    outs = []
+    for extra in ([], ["--seed", "0"], ["--seed", "1"]):
+        assert main(["gradcheck", "--trials", "2", *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]
+
+
 def test_gradcheck_detects_tampered_gradients(capsys, monkeypatch):
     tamper_backward(monkeypatch, 1e-3)
     assert main(["gradcheck", "--trials", "2"]) == 1
@@ -813,3 +821,49 @@ def test_params_invalid_config_exit_2(tmp_path, capsys):
     cfg_path.write_text("{broken")
     assert main(["params", "--config", str(cfg_path)]) == 2
     assert "error: ConfigError" in capsys.readouterr().err
+
+
+def test_generate_one_pair_writes_one_line_that_validates(tmp_path, capsys):
+    out = tmp_path / "one.jsonl"
+    assert main(["generate-instructions", "--n", "1", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert main(["validate-dataset", "--in", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "label, keys",
+    [
+        pytest.param(label, keys, id=label)
+        for label, keys in (
+            ("workspace", ("workspace",)),
+            ("registry[0].name", ("registry", 0, "name")),
+            ("instruct.seeds", ("instruct", "seeds")),
+            ("chat.model", ("chat", "model")),
+        )
+    ],
+)
+def test_a_lone_surrogate_in_a_config_string_exit_2(tmp_path, capsys, monkeypatch, label, keys):
+    monkeypatch.chdir(tmp_path)
+    config = _bundled_config_copy(tmp_path)
+    doc = json.loads(config.read_text())
+    *parents, last = keys
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    owner[last] += "\ud800"
+    config.write_text(json.dumps(doc))  # escaped as \ud800, so the file is still UTF-8
+    before = set(os.listdir(tmp_path))
+    assert main(["run", "--config", str(config), "--instruction", "Draw a cat."]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and err.count("error:") == 1
+    assert f"  {label} must be a string, got " in err and "Traceback" not in err
+    assert set(os.listdir(tmp_path)) == before
+
+
+def test_run_refuses_a_workspace_argument_with_a_lone_surrogate(tmp_path, capsys):
+    ws = tmp_path / "ws\udcff"  # a non-UTF-8 byte as argv decodes it
+    assert main(["run", "--instruction", "Draw a cat.", "--workspace", str(ws)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidArgument: workspace ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []

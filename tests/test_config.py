@@ -161,10 +161,9 @@ def test_command_row_runs_its_command_and_a_mock_row_renders(tmp_path, monkeypat
     registry = build_registry(load_app_config(path))
     invocations = (Invocation("text-to-image", "a cat"), Invocation("text-to-audio", "a purr"))
     meta = MetaResponse("", invocations)
-    (tmp_path / "ws").mkdir()
-    response = execute_plan(route(meta, registry), registry, tmp_path / "ws", seed=6)
+    response = execute_plan(route(meta, registry), registry, seed=6)
     assert response.failures == ()
-    image, audio = [(tmp_path / "ws" / a.path).read_bytes() for a in response.artifacts]
+    image, audio = [a.data for a in response.artifacts]
     prompt, seed, out_path = image.decode().split("|")
     assert (prompt, seed) == ("a cat", "6") and out_path.endswith(".ppm")
     assert audio == render_placeholder("text-to-audio", "a purr", 6 ^ 1)

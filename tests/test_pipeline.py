@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -691,3 +693,75 @@ def test_demo_pipeline_script_runs_the_cat_scenario(tmp_path, monkeypatch, capsy
         "manifest.json",
         "trace.json",
     ]
+
+
+def test_a_run_started_during_anothers_commit_leaves_one_whole_run(tmp_path, monkeypatch):
+    """Run B starts while run A writes its manifest.  B runs on a second
+    thread, joined with a timeout, since a B that waits for A's commit
+    on A's own thread would never return."""
+    eight = json.dumps({"text": "", "invocations": [{"model": "text-to-audio", "prompt": "p"}] * 8})
+    ws = tmp_path / "ws"
+    outcome = {}
+
+    def run_b():
+        backend = ScriptedBackend([ScriptedRule(respond=TEXT_ONLY)])
+        outcome["b"] = run(UserRequest("B"), default_registry(), backend, ws, include_timings=False)
+
+    original = pipeline.manifest_json
+    second = threading.Thread(target=run_b)
+
+    def manifest_json_starting_b(response):
+        if second.ident is None:  # not started yet
+            second.start()
+            second.join(timeout=1.0)
+        return original(response)
+
+    monkeypatch.setattr(pipeline, "manifest_json", manifest_json_starting_b)
+    backend = ScriptedBackend([ScriptedRule(respond=eight)])
+    response_a, _ = run(UserRequest("A"), default_registry(), backend, ws, include_timings=False)
+    second.join(timeout=30.0)
+    assert not second.is_alive()
+    assert len(response_a.artifacts) == 8
+    response_b, trace_b = outcome["b"]
+    assert (ws / "manifest.json").read_text(encoding="utf-8") == original(response_b)
+    assert (ws / "trace.json").read_text(encoding="utf-8") == trace_b.to_json(False)
+    assert sorted(p.name for p in ws.iterdir()) == ["manifest.json", "trace.json"]
+
+
+def test_concurrent_runs_into_one_workspace_all_succeed_and_leave_one_whole_run(tmp_path):
+    """Four threads, more than a 2-core machine runs at once, each run ten
+    requests into one workspace, with a short switch interval to force
+    interleavings."""
+    ws = tmp_path / "ws"
+    audio = {"model": "text-to-audio", "prompt": "p"}
+    replies = [json.dumps({"text": f"t{k}", "invocations": [audio] * k}) for k in range(4)]
+    results, errors = [], []
+
+    def worker(respond):
+        backend = ScriptedBackend([ScriptedRule(respond=respond)])
+        try:
+            for _ in range(10):
+                request = UserRequest("Go.")
+                results.append(run(request, default_registry(), backend, ws, include_timings=False))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(r,)) for r in replies]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 40
+    committed = {pipeline.manifest_json(r): (trace, r) for r, trace in results}
+    trace, response = committed[(ws / "manifest.json").read_text(encoding="utf-8")]
+    assert (ws / "trace.json").read_text(encoding="utf-8") == trace.to_json(False)
+    names = ["manifest.json", "trace.json", *(a.path for a in response.artifacts)]
+    assert sorted(p.name for p in ws.iterdir()) == sorted(names)
+    for artifact in response.artifacts:
+        assert (ws / artifact.path).read_bytes() == artifact.data

@@ -161,10 +161,10 @@ def test_route_is_deterministic():
 # --- execution ------------------------------------------------------------------
 
 
-def test_execute_empty_plan(tmp_workspace):
+def test_execute_empty_plan():
     registry, _ = counting_registry()
     plan = route(MetaResponse("only text", ()), registry)
-    response = execute_plan(plan, registry, tmp_workspace, seed=0)
+    response = execute_plan(plan, registry, seed=0)
     assert response.text == "only text"
     assert response.artifacts == () and response.failures == ()
     manifest = json.loads(manifest_json(response))
@@ -172,37 +172,32 @@ def test_execute_empty_plan(tmp_workspace):
     assert manifest["artifacts"] == []
 
 
-def test_execute_single_image_seed7_deterministic(tmp_path):
+def test_execute_single_image_seed7_deterministic():
     registry = default_registry()
     meta = MetaResponse("", (Invocation("text-to-image", "A photo of a cat"),))
     blobs = []
-    for sub in ("one", "two"):
-        ws = tmp_path / sub
-        ws.mkdir()
-        response = execute_plan(route(meta, registry), registry, ws, seed=7)
-        ppms = sorted(p.name for p in ws.glob("*.ppm"))
-        assert ppms == ["artifact_0_text-to-image.ppm"]
-        assert [a.path for a in response.artifacts] == ppms
-        blobs.append((ws / ppms[0]).read_bytes())
+    for _ in range(2):
+        response = execute_plan(route(meta, registry), registry, seed=7)
+        assert [a.path for a in response.artifacts] == ["artifact_0_text-to-image.ppm"]
+        blobs.append(response.artifacts[0].data)
     assert blobs[0] == blobs[1]
     assert blobs[0].startswith(b"P6\n")
 
 
-def test_execute_naming_rule(tmp_workspace):
+def test_execute_naming_rule():
     registry, _ = counting_registry()
     meta = MetaResponse(
         "", (Invocation("text-to-image", "a"), Invocation("text-to-audio", "b"))
     )
-    response = execute_plan(route(meta, registry), registry, tmp_workspace, seed=0)
+    response = execute_plan(route(meta, registry), registry, seed=0)
     assert [a.path for a in response.artifacts] == [
         "artifact_0_text-to-image.ppm",
         "artifact_1_text-to-audio.wav",
     ]
-    for record in response.artifacts:
-        assert (tmp_workspace / record.path).exists()
+    assert [a.data for a in response.artifacts] == [b"text-to-image|a|0", b"text-to-audio|b|1"]
 
 
-def test_execute_counts_calls_and_mixes_seed_per_index(tmp_workspace):
+def test_execute_counts_calls_and_mixes_seed_per_index():
     registry, executors = counting_registry()
     meta = MetaResponse(
         "",
@@ -212,19 +207,18 @@ def test_execute_counts_calls_and_mixes_seed_per_index(tmp_workspace):
             Invocation("text-to-audio", "other"),
         ),
     )
-    execute_plan(route(meta, registry), registry, tmp_workspace, seed=40)
+    response = execute_plan(route(meta, registry), registry, seed=40)
     image_calls = executors["text-to-image"].calls
     assert len(image_calls) == 2
     assert len(executors["text-to-audio"].calls) == 1
     # identical invocations still see distinct per-item seeds
     assert image_calls[0] == ("same", 40 ^ 0)
     assert image_calls[1] == ("same", 40 ^ 1)
-    first = (tmp_workspace / "artifact_0_text-to-image.ppm").read_bytes()
-    second = (tmp_workspace / "artifact_1_text-to-image.ppm").read_bytes()
+    first, second = (a.data for a in response.artifacts[:2])
     assert first != second
 
 
-def test_execute_isolates_failures(tmp_workspace):
+def test_execute_isolates_failures():
     reg = ModelRegistry()
 
     def boom(prompt: str, seed: int) -> bytes:
@@ -236,7 +230,7 @@ def test_execute_isolates_failures(tmp_workspace):
     meta = MetaResponse(
         "", (Invocation("text-to-image", "a"), Invocation("text-to-audio", "b"))
     )
-    response = execute_plan(route(meta, reg.finalize()), reg, tmp_workspace, seed=0)
+    response = execute_plan(route(meta, reg.finalize()), reg, seed=0)
     assert len(response.artifacts) == 1
     assert len(response.failures) == 1
     assert len(response.artifacts) + len(response.failures) == 2
@@ -250,22 +244,24 @@ def test_execute_isolates_failures(tmp_workspace):
 
 
 @pytest.mark.parametrize("result", ["text", None, 5], ids=["str", "none", "int"])
-def test_execute_isolates_a_result_that_is_not_bytes(tmp_workspace, result):
+def test_execute_isolates_a_result_that_is_not_bytes(tmp_path, monkeypatch, result):
     reg = ModelRegistry()
     reg.register(ModelDescriptor("odd-image", "text-to-image"), lambda prompt, seed: result)
     reg.register(ModelDescriptor("ok-audio", "text-to-audio"), CountingExecutor("text-to-audio"))
     meta = MetaResponse(
         "", (Invocation("text-to-image", "a"), Invocation("text-to-audio", "b"))
     )
-    response = execute_plan(route(meta, reg.finalize()), reg, tmp_workspace, seed=0)
+    monkeypatch.chdir(tmp_path)
+    response = execute_plan(route(meta, reg.finalize()), reg, seed=0)
     manifest = json.loads(manifest_json(response))
     assert [a["path"] for a in manifest["artifacts"]] == ["artifact_1_text-to-audio.wav"]
     assert [f["index"] for f in manifest["failures"]] == [0]
     assert manifest["failures"][0]["error"].startswith("BackendFailure: TypeError: ")
-    assert os.listdir(tmp_workspace) == ["artifact_1_text-to-audio.wav"]
+    assert [a.data for a in response.artifacts] == [b"text-to-audio|b|1"]
+    assert os.listdir(tmp_path) == []  # execution writes nothing
 
 
-def test_execute_with_workers_matches_serial(tmp_path):
+def test_execute_with_workers_matches_serial():
     registry = default_registry()
     meta = MetaResponse(
         "par",
@@ -276,14 +272,10 @@ def test_execute_with_workers_matches_serial(tmp_path):
             )
         ),
     )
-    serial_ws, par_ws = tmp_path / "serial", tmp_path / "parallel"
-    serial_ws.mkdir()
-    par_ws.mkdir()
-    serial = execute_plan(route(meta, registry), registry, serial_ws, seed=3, workers=1)
-    parallel = execute_plan(route(meta, registry), registry, par_ws, seed=3, workers=4)
+    serial = execute_plan(route(meta, registry), registry, seed=3, workers=1)
+    parallel = execute_plan(route(meta, registry), registry, seed=3, workers=4)
     assert [a.path for a in serial.artifacts] == [a.path for a in parallel.artifacts]
-    for record in serial.artifacts:
-        assert (serial_ws / record.path).read_bytes() == (par_ws / record.path).read_bytes()
+    assert [a.data for a in serial.artifacts] == [a.data for a in parallel.artifacts]
     assert manifest_json(serial) == manifest_json(parallel)
 
 
@@ -312,7 +304,7 @@ def test_command_executor_round_trip(tmp_path):
     assert run("hello", 12) == b"hello:12"
 
 
-def test_command_executor_failure_is_isolated(tmp_path, tmp_workspace):
+def test_command_executor_failure_is_isolated(tmp_path):
     script = write_script(tmp_path / "bad.sh", "#!/bin/sh\necho nope >&2\nexit 3\n")
     reg = ModelRegistry()
     reg.register(
@@ -320,7 +312,7 @@ def test_command_executor_failure_is_isolated(tmp_path, tmp_workspace):
         command_executor(script, "ppm"),
     )
     meta = MetaResponse("", (Invocation("text-to-image", "x"),))
-    response = execute_plan(route(meta, reg.finalize()), reg, tmp_workspace, seed=0)
+    response = execute_plan(route(meta, reg.finalize()), reg, seed=0)
     assert response.artifacts == ()
     assert len(response.failures) == 1
     assert "exited 3" in response.failures[0].error
